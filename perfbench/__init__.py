@@ -1,0 +1,5 @@
+"""Layered wall-clock and model-cost benchmark for the ``repro`` package.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; see README.md.
+"""
