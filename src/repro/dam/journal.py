@@ -9,7 +9,17 @@ byte-identical to an uninterrupted run.
 **File layout.**  An 8-byte header (``b"WOJ1"`` magic + little-endian
 ``u32`` version) followed by records.  Each record is::
 
-    u32 payload length | u32 CRC-32 of payload | payload (UTF-8 JSON)
+    u32 payload length | u32 CRC-32 of payload | payload
+
+The header's version names the payload codec.  Execution journals are
+version 1: every payload is a UTF-8 JSON object.  Other formats reuse
+the framing under their own version — the KV write-ahead log
+(:mod:`repro.lsm.disk.wal`) writes binary version-2 payloads — by
+subclassing :class:`JournalWriter` and registering a decoder with
+:func:`register_payload_decoder`; :func:`scan_journal` picks the decoder
+from each segment's header, so every reader of the chain sees the same
+record dicts whatever the bytes look like.  A version with no
+registered decoder is a typed ``bad-version`` error.
 
 **Segments.**  Long-running (serving) journals rotate: with
 ``max_segment_bytes`` set, :class:`JournalWriter` closes the current
@@ -62,6 +72,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import Flush, FlushSchedule
@@ -74,7 +85,8 @@ from repro.util.fsio import resolve
 
 MAGIC = b"WOJ1"
 VERSION = 1
-_HEADER = MAGIC + struct.pack("<I", VERSION)
+_VERSION = struct.Struct("<I")
+_HEADER = MAGIC + _VERSION.pack(VERSION)
 _PREFIX = struct.Struct("<II")  # payload length, CRC-32
 
 #: Record types.
@@ -105,10 +117,41 @@ REC_SLO = "slo"
 MIN_SEGMENT_BYTES = 64
 
 
-def encode_record(record: dict) -> bytes:
-    """Serialize one record to its on-disk bytes (length | crc | payload)."""
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+def _json_payload(record: dict) -> bytes:
+    return json.dumps(record, separators=(",", ":")).encode("utf-8")
+
+
+def _decode_json(payload: bytes) -> dict:
+    record = json.loads(payload)
+    if not isinstance(record, dict) or "type" not in record:
+        raise ValueError("journal record is not an object with a type")
+    return record
+
+
+#: payload decoder per header version (see the module docstring).
+_DECODERS: "dict[int, Callable[[bytes], dict]]" = {VERSION: _decode_json}
+
+
+def register_payload_decoder(
+    version: int, decode: "Callable[[bytes], dict]",
+) -> None:
+    """Make :func:`scan_journal` read segments of header ``version``.
+
+    ``decode`` maps one CRC-verified payload to its record dict and
+    raises ``ValueError``, ``IndexError`` or ``struct.error`` on bytes
+    that do not decode (a ``bad-payload`` to the scanner).
+    """
+    _DECODERS[int(version)] = decode
+
+
+def frame_payload(payload: bytes) -> bytes:
+    """One record's on-disk bytes: ``length | crc | payload``."""
     return _PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def encode_record(record: dict) -> bytes:
+    """Serialize one version-1 (JSON) record to its on-disk bytes."""
+    return frame_payload(_json_payload(record))
 
 
 def segment_path(path: "str | os.PathLike", index: int) -> Path:
@@ -203,7 +246,18 @@ class JournalWriter:
     writer keeps appending to is untouched — and recovery is provably
     unchanged (the compaction module's safety rules), so the background
     trigger is invisible to everything but disk usage.
+
+    Subclasses writing another payload format override :attr:`version`
+    and :meth:`encode_payload` (and register the matching decoder).
     """
+
+    #: header version of every segment this writer opens.
+    version = VERSION
+
+    @staticmethod
+    def encode_payload(record: dict) -> bytes:
+        """One record's payload bytes (version 1: compact JSON)."""
+        return _json_payload(record)
 
     def __init__(self, path: "str | os.PathLike", *,
                  meta: "dict | None" = None, sync: bool = False,
@@ -237,10 +291,11 @@ class JournalWriter:
         # so a chaos window can install a FaultFS mid-run and the next
         # append sees it; fault-free runs pay one attribute read.
         self._fs = fs
+        self._header = MAGIC + _VERSION.pack(self.version)
         fsh = resolve(fs)
         self._f = fsh.open(self.path, "wb")
-        fsh.write(self._f, _HEADER)
-        self._segment_bytes = len(_HEADER)
+        fsh.write(self._f, self._header)
+        self._segment_bytes = len(self._header)
         if meta is not None:
             self.append({"type": REC_META, **meta})
         self.flush()
@@ -262,8 +317,8 @@ class JournalWriter:
         self._segment_index += 1
         fsh = resolve(self._fs)
         self._f = fsh.open(segment_path(self.path, self._segment_index), "wb")
-        fsh.write(self._f, _HEADER)
-        self._segment_bytes = len(_HEADER)
+        fsh.write(self._f, self._header)
+        self._segment_bytes = len(self._header)
         if self._metrics is not None:
             self._metrics.counter(
                 "journal_rotations_total", "journal segments sealed"
@@ -282,10 +337,10 @@ class JournalWriter:
 
     def append(self, record: dict) -> None:
         """Buffer one record (see :meth:`flush` for durability)."""
-        blob = encode_record(record)
+        blob = frame_payload(self.encode_payload(record))
         if (
             self.max_segment_bytes is not None
-            and self._segment_bytes > len(_HEADER)
+            and self._segment_bytes > len(self._header)
             and self._segment_bytes + len(blob) > self.max_segment_bytes
         ):
             self._rotate()
@@ -357,6 +412,8 @@ class JournalScan:
     segments: "tuple[str, ...]" = ()
     #: valid bytes *within the last segment* (its repair truncation point).
     tail_valid_bytes: int = 0
+    #: header version of segment 0 (0 if its header is torn).
+    version: int = 0
 
     @property
     def torn_bytes(self) -> int:
@@ -368,21 +425,37 @@ class JournalScan:
         return max(1, len(self.segments))
 
 
+def _segment_version(data: bytes) -> int:
+    """The header version of one segment (0 if its header is torn)."""
+    if len(data) < len(_HEADER):
+        return 0
+    return _VERSION.unpack_from(data, len(MAGIC))[0]
+
+
 def _scan_segment(path: Path, data: bytes) -> "tuple[list[dict], int, str]":
     """Scan one segment: ``(records, valid_bytes, torn_reason)``.
 
-    Raises :class:`JournalCorruptionError` for a bad magic value or a
-    damaged record that is provably not a tear (data follows it).
+    Raises :class:`JournalCorruptionError` for a bad magic value, a
+    version with no registered decoder, or a damaged record that is
+    provably not a tear (data follows it).
     """
-    if len(data) >= len(_HEADER) and data[: len(_HEADER)] != _HEADER:
-        raise JournalCorruptionError(
-            f"{path}: bad journal header {data[:8]!r} "
-            f"(expected {_HEADER!r})",
-            offset=0, reason="bad-magic",
-        )
     if len(data) < len(_HEADER):
         # Truncated inside the header: the whole file is a torn tail.
         return [], 0, "truncated header"
+    if data[:len(MAGIC)] != MAGIC:
+        raise JournalCorruptionError(
+            f"{path}: bad journal header {data[:8]!r} "
+            f"(expected magic {MAGIC!r})",
+            offset=0, reason="bad-magic",
+        )
+    version = _segment_version(data)
+    decode = _DECODERS.get(version)
+    if decode is None:
+        raise JournalCorruptionError(
+            f"{path}: journal format version {version} has no decoder in "
+            f"this build (it reads versions {sorted(_DECODERS)})",
+            offset=len(MAGIC), reason="bad-version",
+        )
     offset = len(_HEADER)
     records: list[dict] = []
     while offset < len(data):
@@ -398,10 +471,8 @@ def _scan_segment(path: Path, data: bytes) -> "tuple[list[dict], int, str]":
             bad = "bad-crc"
         else:
             try:
-                record = json.loads(payload)
-                if not isinstance(record, dict) or "type" not in record:
-                    bad = "bad-payload"
-            except (ValueError, UnicodeDecodeError):
+                record = decode(payload)
+            except (ValueError, IndexError, struct.error):
                 bad = "bad-payload"
         if bad:
             if end == len(data):
@@ -439,10 +510,13 @@ def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
     total_bytes = 0
     tail_reason = ""
     tail_valid = 0
+    version = 0
     for i, seg in enumerate(segments):
         data = fsh.read_bytes(seg)
         total_bytes += len(data)
         seg_records, valid, reason = _scan_segment(seg, data)
+        if i == 0:
+            version = _segment_version(data)
         if reason and i != len(segments) - 1:
             raise JournalCorruptionError(
                 f"{seg}: segment {i} of {len(segments)} is damaged "
@@ -459,6 +533,7 @@ def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
         tuple(records), total_valid, total_bytes, tail_reason,
         segments=tuple(str(s) for s in segments),
         tail_valid_bytes=tail_valid,
+        version=version,
     )
 
 

@@ -11,22 +11,43 @@ localized to a block, and surfaced as a typed
 :class:`~repro.util.errors.StorageCorruptionError` — never a silently
 wrong value.
 
-File layout::
+File layout (all integers little-endian)::
 
-    header   b"WSST" + u32 version                          (8 bytes)
-    blocks   repeat: u32 len | u32 CRC-32 | payload         (JSON entries)
-    bloom    u32 len | u32 CRC-32 | payload                 (JSON filter)
-    index    u32 len | u32 CRC-32 | payload                 (JSON block map)
+    header   b"WSST" + u32 version (2)                      (8 bytes)
+    blocks   repeat: u32 len | u32 CRC-32 | payload         (packed rows)
+    bloom    u32 len | u32 CRC-32 | u64 m | u8 k | m/8 bit bytes
+    index    u32 len | u32 CRC-32 | payload                 (packed block map)
     footer   u64 bloom_off | u64 index_off | u64 n_entries
              | u32 CRC-32 of the previous 24 bytes | b"TSSW" (32 bytes)
 
-A block payload is a JSON list of ``[key, seq, kind, value]`` rows
-(``kind``: 0 = put, 1 = tombstone), sorted by key, unique keys per file.
-The index maps each block to ``[offset, length, n, first_key,
-last_key]``; a point read touches the footer, index, bloom, and exactly
-one data block.  The bloom filter (double hashing over two CRC-32
-streams) makes a negative probe cost zero block reads — the read/write
-asymmetry the paper's model charges for, now in real bytes.
+A block holds up to ``block_entries`` ``(key, seq, kind, value)`` rows
+(``kind``: 0 = put, 1 = tombstone), sorted by key, unique keys per
+file, stored column by column so each column decodes in one C-level
+``struct`` call::
+
+    u32 n | u64 seq_base | u8 seq width
+    keys     u8 width | n key lengths | concatenated UTF-8 key bytes
+             (or u8 0xFF | u32 len | JSON list, when a key is not a str)
+    seqs     n deltas from seq_base at the seq width
+    kinds    n bytes: kind | 2 if the value is None
+    values   u8 width | i64 base | one delta per non-None value
+             (or u8 0xFF | JSON list of all n values, when a value is
+             neither None nor an int in the i64 range)
+
+A width byte 0-3 selects 1, 2, 4 or 8 bytes per number — the narrowest
+that fits the column.  The index is ``u32 count``, then the blocks' u64
+offsets, u32 lengths and u32 row counts (a column each), then their
+first and last keys as one key column; a point read touches the footer,
+index, bloom, and exactly one data block.  The bloom filter (double
+hashing over two CRC-32 streams of each key's JSON text) makes a
+negative probe cost zero block reads — the read/write asymmetry the
+paper's model charges for, now in real bytes.
+
+A payload that passes its CRC but does not decode (wrong lengths, an
+unknown width, bad UTF-8 or JSON) raises the same typed error as a CRC
+failure: ``bad-block``, ``bad-index`` or ``bad-bloom``.  A file of any
+other format version raises ``bad-version``; there is no reader for
+older versions.
 """
 
 from __future__ import annotations
@@ -37,6 +58,8 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from repro.util.atomic import atomic_write_bytes
@@ -44,19 +67,171 @@ from repro.util.errors import InvalidInstanceError, StorageCorruptionError
 from repro.util.fsio import resolve
 
 SST_MAGIC = b"WSST"
-SST_VERSION = 1
-_SST_HEADER = SST_MAGIC + struct.pack("<I", SST_VERSION)
+SST_VERSION = 2
+_U32 = struct.Struct("<I")
+_SST_HEADER = SST_MAGIC + _U32.pack(SST_VERSION)
 _SECTION = struct.Struct("<II")  # payload length, CRC-32
 _FOOTER = struct.Struct("<QQQI4s")  # bloom_off, index_off, n_entries, crc, magic
 FOOTER_MAGIC = b"TSSW"
+_BLOCK_HEAD = struct.Struct("<IQB")  # rows, seq base, seq width
+_VALUE_BASE = struct.Struct("<q")
+_BLOOM_HEAD = struct.Struct("<QB")  # m bits, k hashes
 
 #: entry kinds on disk.
 KIND_PUT = 0
 KIND_TOMBSTONE = 1
 
+#: ``struct`` codes of the 1-, 2-, 4- and 8-byte column widths.
+_WIDTHS = "BHIQ"
+#: width byte of a column stored as a JSON list instead.
+_JSON = 0xFF
+#: kinds-column flag: the row's value is None.
+_NONE = 2
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+#: what a payload that passes its CRC but does not decode raises.
+_DECODE_ERRORS = (ValueError, IndexError, struct.error)
+
 
 def _key_bytes(key) -> bytes:
+    """The bloom hash input: the key's compact JSON text."""
+    if type(key) is str:
+        # Exactly json.dumps(key) for a str, without the encoder setup.
+        return encode_basestring_ascii(key).encode("ascii")
     return json.dumps(key, separators=(",", ":")).encode("utf-8")
+
+
+def _json(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+def _json_list(text: bytes, n: int) -> list:
+    items = json.loads(text)
+    if type(items) is not list or len(items) != n:
+        raise ValueError(f"expected a JSON list of {n} item(s)")
+    return items
+
+
+def _width(top: int) -> int:
+    """The narrowest width code whose unsigned numbers reach ``top``."""
+    return (top >= 1 << 8) + (top >= 1 << 16) + (top >= 1 << 32)
+
+
+def _pack_uints(out: bytearray, code: int, numbers: list) -> None:
+    out += struct.pack(f"<{len(numbers)}{_WIDTHS[code]}", *numbers)
+
+
+def _unpack_uints(buf: bytes, off: int, code: int, n: int):
+    fmt = f"<{n}{_WIDTHS[code]}"
+    return struct.unpack_from(fmt, buf, off), off + struct.calcsize(fmt)
+
+
+def _pack_keys(out: bytearray, keys: list) -> None:
+    """Key column: lengths + UTF-8 bytes, or JSON if a key is not a str."""
+    if all(type(k) is str for k in keys):
+        raw = [k.encode("utf-8", "surrogatepass") for k in keys]
+        lengths = [len(r) for r in raw]
+        code = _width(max(lengths, default=0))
+        out.append(code)
+        _pack_uints(out, code, lengths)
+        out += b"".join(raw)
+    else:
+        text = _json(keys)
+        out.append(_JSON)
+        out += _U32.pack(len(text)) + text
+
+
+def _unpack_keys(buf: bytes, off: int, n: int) -> "tuple[list, int]":
+    code = buf[off]
+    if code == _JSON:
+        (size,) = _U32.unpack_from(buf, off + 1)
+        off += 1 + _U32.size
+        return _json_list(buf[off:off + size], n), off + size
+    lengths, off = _unpack_uints(buf, off + 1, code, n)
+    bounds = list(accumulate(lengths, initial=0))
+    blob = buf[off:off + bounds[-1]]
+    if len(blob) != bounds[-1]:
+        raise ValueError("key bytes run past the payload")
+    # ASCII keys slice one decoded text (one char per byte).
+    text = blob.decode("ascii") if blob.isascii() else blob
+    keys = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    if text is blob:
+        keys = [k.decode("utf-8", "surrogatepass") for k in keys]
+    return keys, off + len(blob)
+
+
+def _encode_block(rows: "list[tuple]") -> bytes:
+    seqs = [int(r[1]) for r in rows]
+    values = [r[3] for r in rows]
+    base = min(seqs)
+    code = _width(max(seqs) - base)
+    out = bytearray(_BLOCK_HEAD.pack(len(rows), base, code))
+    _pack_keys(out, [r[0] for r in rows])
+    _pack_uints(out, code, [s - base for s in seqs])
+    out += bytes(
+        int(r[2]) | (_NONE if v is None else 0) for r, v in zip(rows, values)
+    )
+    ints = [v for v in values if v is not None]
+    if all(type(v) is int and _I64_MIN <= v <= _I64_MAX for v in ints):
+        low = min(ints, default=0)
+        vcode = _width(max(ints, default=0) - low)
+        out.append(vcode)
+        out += _VALUE_BASE.pack(low)
+        _pack_uints(out, vcode, [v - low for v in ints])
+    else:
+        out.append(_JSON)
+        out += _json(values)
+    return bytes(out)
+
+
+def _decode_block(buf: bytes) -> "tuple[list, list, list, list]":
+    """``(keys, seqs, kinds, values)`` columns of one block payload."""
+    n, base, code = _BLOCK_HEAD.unpack_from(buf)
+    keys, off = _unpack_keys(buf, _BLOCK_HEAD.size, n)
+    deltas, off = _unpack_uints(buf, off, code, n)
+    flags = buf[off:off + n]
+    if len(flags) != n or flags.translate(None, b"\0\1\2\3"):
+        raise ValueError("bad kinds column")
+    off += n
+    if buf[off] == _JSON:
+        values = _json_list(buf[off + 1:], n)
+    else:
+        (low,) = _VALUE_BASE.unpack_from(buf, off + 1)
+        present = n - flags.count(2) - flags.count(3)
+        ints, end = _unpack_uints(
+            buf, off + 1 + _VALUE_BASE.size, buf[off], present)
+        if end != len(buf):
+            raise ValueError("trailing bytes after the values column")
+        it = iter(ints)
+        values = [None if f & _NONE else low + next(it) for f in flags]
+    return keys, [base + d for d in deltas], [f & 1 for f in flags], values
+
+
+def _encode_index(index: "list[tuple]") -> bytes:
+    count = len(index)
+    out = bytearray(_U32.pack(count))
+    out += struct.pack(
+        f"<{count}Q{2 * count}I",
+        *(b[0] for b in index), *(b[1] for b in index),
+        *(b[2] for b in index),
+    )
+    _pack_keys(out, [k for b in index for k in (b[3], b[4])])
+    return bytes(out)
+
+
+def _decode_index(buf: bytes) -> "list[list]":
+    """``[offset, length, n, first_key, last_key]`` per block."""
+    (count,) = _U32.unpack_from(buf)
+    fmt = f"<{count}Q{2 * count}I"
+    nums = struct.unpack_from(fmt, buf, _U32.size)
+    keys, off = _unpack_keys(buf, _U32.size + struct.calcsize(fmt),
+                             2 * count)
+    if off != len(buf):
+        raise ValueError("trailing bytes after the index")
+    return [
+        [nums[i], nums[count + i], nums[2 * count + i],
+         keys[2 * i], keys[2 * i + 1]]
+        for i in range(count)
+    ]
 
 
 class BloomFilter:
@@ -99,13 +274,16 @@ class BloomFilter:
             for pos in self._positions(key)
         )
 
-    def to_payload(self) -> dict:
-        return {"m": self.m, "k": self.k, "bits": bytes(self.bits).hex()}
+    def to_payload(self) -> bytes:
+        return _BLOOM_HEAD.pack(self.m, self.k) + bytes(self.bits)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "BloomFilter":
-        return cls(int(payload["m"]), int(payload["k"]),
-                   bytearray.fromhex(payload["bits"]))
+    def from_payload(cls, payload: bytes) -> "BloomFilter":
+        m, k = _BLOOM_HEAD.unpack_from(payload)
+        bits = bytearray(payload[_BLOOM_HEAD.size:])
+        if m < 8 or k < 1 or len(bits) != -(-m // 8):
+            raise ValueError(f"bloom payload does not hold {m} bit(s)")
+        return cls(m, k, bits)
 
 
 @dataclass(frozen=True)
@@ -186,31 +364,31 @@ def write_sstable(
         raise InvalidInstanceError(
             "SSTable entries must be strictly sorted by key"
         )
+    if any(
+        e[2] not in (KIND_PUT, KIND_TOMBSTONE) or not 0 <= e[1] < 1 << 64
+        for e in entries
+    ):
+        raise InvalidInstanceError(
+            "SSTable entries need kind 0 or 1 and a sequence number "
+            "in [0, 2**64)"
+        )
     bloom = BloomFilter.for_entries(len(entries), bloom_bits_per_key)
     blob = bytearray(_SST_HEADER)
-    index: "list[list]" = []
+    index: "list[tuple]" = []
     for start in range(0, len(entries), block_entries):
         piece = entries[start:start + block_entries]
-        payload = json.dumps(
-            [[k, int(s), int(kd), v] for k, s, kd, v in piece],
-            separators=(",", ":"),
-        ).encode("utf-8")
         offset = len(blob)
-        blob += _section(payload)
+        blob += _section(_encode_block(piece))
         index.append(
-            [offset, len(blob) - offset, len(piece),
-             piece[0][0], piece[-1][0]]
+            (offset, len(blob) - offset, len(piece),
+             piece[0][0], piece[-1][0])
         )
-        for k, _s, _kd, _v in piece:
-            bloom.add(k)
+    for k in keys:
+        bloom.add(k)
     bloom_off = len(blob)
-    blob += _section(
-        json.dumps(bloom.to_payload(), separators=(",", ":")).encode("utf-8")
-    )
+    blob += _section(bloom.to_payload())
     index_off = len(blob)
-    blob += _section(
-        json.dumps({"blocks": index}, separators=(",", ":")).encode("utf-8")
-    )
+    blob += _section(_encode_index(index))
     packed = struct.pack("<QQQ", bloom_off, index_off, len(entries))
     blob += packed + struct.pack("<I", zlib.crc32(packed)) + FOOTER_MAGIC
     name = sstable_name(file_id)
@@ -265,10 +443,18 @@ class SSTableReader:
                 "SSTable",
                 path=str(self.path), offset=0, reason="bad-footer",
             )
-        if data[: len(_SST_HEADER)] != _SST_HEADER:
+        if data[:len(SST_MAGIC)] != SST_MAGIC:
             raise StorageCorruptionError(
                 f"{self.path}: bad SSTable header {data[:8]!r}",
                 path=str(self.path), offset=0, reason="bad-magic",
+            )
+        (version,) = _U32.unpack_from(data, len(SST_MAGIC))
+        if version != SST_VERSION:
+            raise StorageCorruptionError(
+                f"{self.path}: SSTable format version {version}; this "
+                f"build reads only version {SST_VERSION}",
+                path=str(self.path), offset=len(SST_MAGIC),
+                reason="bad-version",
             )
         foot = data[-_FOOTER.size:]
         bloom_off, index_off, n_entries, crc, magic = _FOOTER.unpack(foot)
@@ -281,16 +467,19 @@ class SSTableReader:
         self.n_entries = int(n_entries)
         index_payload = self._read_section(data, index_off, "bad-index")
         try:
-            self._index = json.loads(index_payload)["blocks"]
-        except (ValueError, KeyError, TypeError):
+            self._index = _decode_index(index_payload)
+            if any(not len(_SST_HEADER) <= off <= off + size <= bloom_off
+                   for off, size, *_ in self._index):
+                raise ValueError("index points outside the data blocks")
+        except _DECODE_ERRORS:
             raise StorageCorruptionError(
                 f"{self.path}: SSTable index does not decode",
                 path=str(self.path), offset=index_off, reason="bad-index",
             ) from None
         bloom_payload = self._read_section(data, bloom_off, "bad-bloom")
         try:
-            self._bloom = BloomFilter.from_payload(json.loads(bloom_payload))
-        except (ValueError, KeyError, TypeError):
+            self._bloom = BloomFilter.from_payload(bloom_payload)
+        except _DECODE_ERRORS:
             raise StorageCorruptionError(
                 f"{self.path}: SSTable bloom filter does not decode",
                 path=str(self.path), offset=bloom_off, reason="bad-bloom",
@@ -323,14 +512,15 @@ class SSTableReader:
         """Bloom probe: False means definitely absent (no block read)."""
         return key in self._bloom
 
-    def _read_block(self, i: int) -> "list[list]":
-        offset, length, _n, _fk, _lk = self._index[i]
+    def _read_block(self, i: int) -> "tuple[list, list, list, list]":
+        """Block ``i`` as verified ``(keys, seqs, kinds, values)`` columns."""
+        offset, length, n, _fk, _lk = self._index[i]
         fsh = resolve(self._fs)
         with fsh.open(self.path, "rb") as f:
             f.seek(offset)
             data = fsh.read(f, length)
         self.block_reads += 1
-        if len(data) != length:
+        if len(data) != length or length < _SECTION.size:
             raise StorageCorruptionError(
                 f"{self.path}: block {i} at byte {offset} is truncated",
                 path=str(self.path), offset=offset, reason="bad-block",
@@ -344,13 +534,15 @@ class SSTableReader:
                 path=str(self.path), offset=offset, reason="bad-block",
             )
         try:
-            rows = json.loads(payload)
-        except ValueError:
+            columns = _decode_block(payload)
+            if len(columns[0]) != n:
+                raise ValueError(f"block holds {len(columns[0])} row(s)")
+        except _DECODE_ERRORS:
             raise StorageCorruptionError(
                 f"{self.path}: block {i} at byte {offset} does not decode",
                 path=str(self.path), offset=offset, reason="bad-block",
             ) from None
-        return rows
+        return columns
 
     def get(self, key) -> "tuple[int, int, object] | None":
         """Point probe: ``(seq, kind, value)`` or None if absent."""
@@ -370,18 +562,21 @@ class SSTableReader:
                 break
         if found < 0:
             return None
-        for k, seq, kind, value in self._read_block(found):
-            if k == key:
-                return int(seq), int(kind), value
-        return None
+        keys, seqs, kinds, values = self._read_block(found)
+        try:
+            j = keys.index(key)
+        except ValueError:
+            return None
+        return seqs[j], kinds[j], values[j]
 
     def iter_entries(self):
         """All ``(key, seq, kind, value)`` rows in key order (verified)."""
         for i in range(len(self._index)):
-            for k, seq, kind, value in self._read_block(i):
-                yield k, int(seq), int(kind), value
+            yield from zip(*self._read_block(i))
 
-    def _scrub_block(self, i: int, *, retries: int = 1) -> "list[list]":
+    def _scrub_block(
+        self, i: int, *, retries: int = 1,
+    ) -> "tuple[list, list, list, list]":
         """Read block ``i`` for a scrub pass, retrying transient ``EIO``.
 
         A fault that persists past ``retries`` attempts propagates to
@@ -423,7 +618,7 @@ class SSTableReader:
         findings: "list[BlockFinding]" = []
         for i, (offset, _length, n, first, last) in enumerate(self._index):
             try:
-                rows = self._scrub_block(i)
+                columns = self._scrub_block(i)
             except (StorageCorruptionError, OSError) as exc:
                 findings.append(BlockFinding(
                     path=str(self.path), block=i, offset=offset,
@@ -432,7 +627,5 @@ class SSTableReader:
                     entries_lost=int(n),
                 ))
                 continue
-            good.extend(
-                (k, int(s), int(kd), v) for k, s, kd, v in rows
-            )
+            good.extend(zip(*columns))
         return good, findings

@@ -129,6 +129,26 @@ def test_crc_actually_guards_payload():
     assert json.loads(payload)["t"] == 3
 
 
+def test_execution_journals_stay_json_version_1(tmp_path):
+    path = tmp_path / "v1.journal"
+    rec = {"type": REC_FLUSH, "t": 1, "src": 0, "dest": 1, "msgs": [0]}
+    with JournalWriter(path) as w:
+        w.append(rec)
+    assert path.read_bytes() == MAGIC + struct.pack("<I", 1) + \
+        encode_record(rec)
+    assert scan_journal(path).version == 1
+
+
+def test_scan_rejects_unknown_version(tmp_path):
+    path = tmp_path / "v9.journal"
+    path.write_bytes(MAGIC + struct.pack("<I", 9)
+                     + encode_record({"type": "end", "t": 1}))
+    with pytest.raises(JournalCorruptionError) as exc:
+        scan_journal(path)
+    assert exc.value.reason == "bad-version"
+    assert "version 9" in str(exc.value)
+
+
 # ----------------------------------------------------------------------
 # Recovery manager.
 # ----------------------------------------------------------------------

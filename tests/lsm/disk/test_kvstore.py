@@ -303,3 +303,60 @@ def test_stats_reports_per_level_bytes(tmp_path: Path) -> None:
         assert total(degraded) == total(stats) - (
             tmp_path / "gone").stat().st_size
         (tmp_path / "gone").rename(s.directory / victim.name)
+
+
+#: values whose JSON round trip the binary formats must reproduce.
+_VALUE_DOMAIN = [
+    -1, -(2 ** 40), -(2 ** 63), -(2 ** 63) - 1, 2 ** 63 - 1, 2 ** 63,
+    2 ** 64 + 5, 10 ** 30, 7, 1, 0, True, False, None,
+    1.5, -0.0, 1e300, float("inf"), float("nan"),
+    "", "plain", "héllo 漢字 \U0001f600", "\ud800", 'q"\\\n',
+    {"gid": 3, "step": 17}, {"nested": [1, {"a": None}]}, {1: "int key"},
+    [1, "two", None, 2.5], (1, (2, 3)), [], (),
+]
+
+
+def _typed(value):
+    """``value`` with every type spelled out (1 != True, -0.0 != 0.0,
+    tuple != list)."""
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_typed(v) for v in value]
+    if isinstance(value, dict):
+        return "dict", [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, float):
+        return "float", repr(value)
+    return type(value).__name__, value
+
+
+def _json_view(values: dict) -> dict:
+    import json
+
+    return {k: _typed(json.loads(json.dumps(v))) for k, v in values.items()}
+
+
+def test_value_domain_roundtrips_like_json(tmp_path: Path) -> None:
+    """Through WAL replay, flush, compaction and reopen the store returns
+    exactly what a JSON encoding of each value decodes to."""
+    written = {f"v{i:03d}": v for i, v in enumerate(_VALUE_DOMAIN)}
+    want = _json_view(written)
+    # WAL only: a crash before any flush replays every value.
+    s = _open(tmp_path, memtable_capacity=1000)
+    for k, v in written.items():
+        s.put(k, v)
+    del s
+    s = _open(tmp_path, memtable_capacity=1000)
+    assert {k: _typed(v) for k, v in s.items()} == want
+    s.close()
+    # SSTables: many flushes and compactions, then a clean reopen.
+    home = tmp_path / "sst"
+    s = KVStore(home, memtable_capacity=4, size_ratio=2, sync=False)
+    for k, v in written.items():
+        s.put(k, v)
+    s.flush_memtable()
+    s.drain_backlog()
+    assert s.compactions > 0
+    assert {k: _typed(s.get(k)) for k in written} == want
+    s.close()
+    s = KVStore(home, memtable_capacity=4, size_ratio=2, sync=False)
+    assert {k: _typed(v) for k, v in s.items()} == want
+    s.close()

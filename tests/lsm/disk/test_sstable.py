@@ -192,3 +192,211 @@ def test_overlaps() -> None:
     assert not mk("a", "c", n=0).overlaps(mk("a", "c"))
     assert mk("a", "c").overlaps_range("c", "z")
     assert not mk("a", "c").overlaps_range("d", "z")
+
+
+# -- binary format (version 2) -----------------------------------------
+
+_BLOOM_KEYS = [
+    "", "plain", "k012345", 'say "hi"', "back\\slash", "tab\there",
+    "\x00\x1f\x7f", "café", "漢字", "\U0001f600", "\ud800",
+    0, -7, 2 ** 70, ("composite", 3), ("a", ("nested", 1.5)),
+]
+
+
+def test_bloom_positions_pinned_to_json_text() -> None:
+    """The bloom hash input is each key's compact JSON text, bit for bit,
+    whatever shortcut computes it."""
+    import json
+    import zlib
+
+    bf = BloomFilter(997, 7)
+    for key in _BLOOM_KEYS:
+        kb = json.dumps(key, separators=(",", ":")).encode("utf-8")
+        h1 = zlib.crc32(kb)
+        h2 = zlib.crc32(kb, 0x9747B28C) | 1
+        assert bf._positions(key) == [(h1 + i * h2) % 997 for i in range(7)]
+
+
+def test_bloom_payload_is_raw_bits() -> None:
+    bf = BloomFilter.for_entries(40)
+    for i in range(40):
+        bf.add(f"key-{i}")
+    payload = bf.to_payload()
+    assert payload.endswith(bytes(bf.bits))
+    assert len(payload) == len(bf.bits) + 9
+
+
+def _sections(path: Path) -> "list[tuple[int, int]]":
+    """``(offset, payload length)`` of every CRC section in the file."""
+    import struct
+
+    data = path.read_bytes()
+    bloom_off, index_off, _n, _crc, _magic = struct.unpack(
+        "<QQQI4s", data[-32:])
+    spans, off = [], 8
+    while off < len(data) - 32:
+        length = struct.unpack_from("<I", data, off)[0]
+        spans.append((off, length))
+        off += 8 + length
+    assert bloom_off in dict(spans) and index_off in dict(spans)
+    return spans
+
+
+def _forge(path: Path, offset: int, payload: bytes) -> None:
+    """Replace the section at ``offset`` with ``payload`` (same length)
+    under a freshly computed CRC, so only the decoder can object."""
+    import struct
+    import zlib
+
+    data = bytearray(path.read_bytes())
+    length = struct.unpack_from("<I", data, offset)[0]
+    assert len(payload) == length
+    data[offset:offset + 8 + length] = (
+        struct.pack("<II", length, zlib.crc32(payload)) + payload)
+    path.write_bytes(bytes(data))
+
+
+def _garbage(payload: bytes) -> "list[bytes]":
+    """Same-length payloads the writer never produces."""
+    import random
+
+    rng = random.Random(len(payload))
+    n = len(payload)
+    cases = [b"\x00" * n, b"\xff" * n, payload[::-1]]
+    cases += [bytes(rng.randrange(256) for _ in range(n)) for _ in range(20)]
+    # Every single-byte corruption of the genuine payload.
+    for i in range(n):
+        mutated = bytearray(payload)
+        mutated[i] ^= 0xFF
+        cases.append(bytes(mutated))
+    return cases
+
+
+@pytest.mark.parametrize("values", ["ints", "json"])
+def test_forged_block_payloads_raise_typed_errors(
+    tmp_path: Path, values: str,
+) -> None:
+    rows = _entries(24, tombstone_every=5)
+    if values == "json":
+        rows = [(k, s, kd, None if v is None else [v, "x"])
+                for k, s, kd, v in rows]
+    meta = write_sstable(tmp_path, 1, rows, block_entries=8)
+    path = tmp_path / meta.name
+    original = path.read_bytes()
+    offset, length = _sections(path)[1]  # block 1 of 3
+    payload = original[offset + 8:offset + 8 + length]
+    for forged in _garbage(payload):
+        path.write_bytes(original)
+        _forge(path, offset, forged)
+        reader = SSTableReader(path)  # the block is only read on a probe
+        try:
+            got = reader.get(rows[10][0])
+        except StorageCorruptionError as exc:
+            assert exc.reason == "bad-block"
+            assert exc.offset == offset
+            continue
+        # A forged payload that still decodes carries another version
+        # of the block; intact blocks must never be affected.
+        assert got is None or len(got) == 3
+        assert reader.get(rows[0][0]) == rows[0][1:]
+
+
+def test_truncated_payloads_never_decode(tmp_path: Path) -> None:
+    """Every column is length-exact: a shortened payload (as if forged
+    under a valid CRC) is a decode error, never a shorter block."""
+    from repro.lsm.disk.sstable import (
+        _DECODE_ERRORS,
+        _decode_block,
+        _decode_index,
+    )
+
+    rows = _entries(8, tombstone_every=3)
+    json_rows = [(k, s, kd, [v]) for k, s, kd, v in rows]
+    for table, decode in ((rows, _decode_block), (json_rows, _decode_block),
+                          (rows, _decode_index),
+                          (rows, BloomFilter.from_payload)):
+        meta = write_sstable(tmp_path, 1, table, block_entries=8)
+        path = tmp_path / meta.name
+        data = path.read_bytes()
+        section = {_decode_block: 0, _decode_index: -1,
+                   BloomFilter.from_payload: -2}[decode]
+        offset, length = _sections(path)[section]
+        payload = data[offset + 8:offset + 8 + length]
+        decode(payload)
+        for cut in range(length):
+            with pytest.raises(_DECODE_ERRORS):
+                decode(payload[:cut])
+
+
+@pytest.mark.parametrize("section,reason", [(-2, "bad-bloom"),
+                                            (-1, "bad-index")])
+def test_forged_structural_payloads_raise_typed_errors(
+    tmp_path: Path, section: int, reason: str,
+) -> None:
+    rows = _entries(40)
+    meta = write_sstable(tmp_path, 1, rows, block_entries=8)
+    path = tmp_path / meta.name
+    original = path.read_bytes()
+    offset, length = _sections(path)[section]
+    payload = original[offset + 8:offset + 8 + length]
+    for forged in _garbage(payload):
+        path.write_bytes(original)
+        _forge(path, offset, forged)
+        try:
+            reader = SSTableReader(path)
+        except StorageCorruptionError as exc:
+            assert exc.reason == reason
+            continue
+        # Survivors are forgeries that still parse (a bloom bit or an
+        # index offset moved): probes still raise only typed errors.
+        for k, _s, _kd, _v in rows:
+            try:
+                reader.get(k)
+            except StorageCorruptionError:
+                pass
+
+
+def _write_v1_sstable(path: Path, rows) -> None:
+    """The JSON layout of format version 1, as older builds wrote it."""
+    import json
+    import struct
+    import zlib
+
+    def section(obj) -> bytes:
+        payload = json.dumps(obj, separators=(",", ":")).encode()
+        return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+    blob = bytearray(b"WSST" + struct.pack("<I", 1))
+    blob += section([list(r) for r in rows])
+    bloom_off = len(blob)
+    blob += section({"m": 64, "k": 1, "bits": "00" * 8})
+    index_off = len(blob)
+    blob += section({"blocks": [[8, bloom_off - 8, len(rows),
+                                 rows[0][0], rows[-1][0]]]})
+    packed = struct.pack("<QQQ", bloom_off, index_off, len(rows))
+    blob += packed + struct.pack("<I", zlib.crc32(packed)) + b"TSSW"
+    path.write_bytes(bytes(blob))
+
+
+def test_v1_sstable_is_rejected_with_bad_version(tmp_path: Path) -> None:
+    path = tmp_path / sstable_name(1)
+    _write_v1_sstable(path, _entries(4))
+    with pytest.raises(StorageCorruptionError) as exc:
+        SSTableReader(path)
+    assert exc.value.reason == "bad-version"
+    assert "version 1" in str(exc.value) and "version 2" in str(exc.value)
+
+
+def test_non_str_keys_and_values_use_the_json_columns(tmp_path: Path) -> None:
+    rows = [(i, i + 10, KIND_PUT, {"v": i}) for i in range(-3, 5)]
+    meta = write_sstable(tmp_path, 1, rows, block_entries=3)
+    reader = SSTableReader(tmp_path / meta.name)
+    assert list(reader.iter_entries()) == rows
+    assert reader.get(2) == (12, KIND_PUT, {"v": 2})
+
+
+def test_kinds_and_sequence_numbers_are_validated(tmp_path: Path) -> None:
+    with pytest.raises(InvalidInstanceError):
+        write_sstable(tmp_path, 1, [("a", 1, 2, None)])
+    with pytest.raises(InvalidInstanceError):
+        write_sstable(tmp_path, 1, [("a", -1, KIND_PUT, 1)])

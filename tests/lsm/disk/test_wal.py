@@ -133,3 +133,110 @@ def test_kill_at_every_offset_replays_exact_prefix(tmp_path: Path) -> None:
         import shutil
 
         shutil.rmtree(work)
+
+
+# -- binary records (header version 2) ---------------------------------
+
+
+def test_wal_header_is_version_2_and_records_are_binary(
+    tmp_path: Path,
+) -> None:
+    import struct
+
+    from repro.lsm.disk.wal import WAL_VERSION
+
+    path = _write_gen(tmp_path, 0, [put_record(1, "k000001", 123456789)])
+    data = path.read_bytes()
+    assert struct.unpack_from("<I", data, 4)[0] == WAL_VERSION == 2
+    scan = scan_journal(path)
+    assert scan.version == 2
+    # meta (JSON fallback) + one put of 1+8+4 + 1+7 + 1+8 payload bytes.
+    assert len(data) == 8 + (8 + 1 + len(
+        b'{"type":"meta","policy":"kv-wal","gen":0}')) + (8 + 30)
+
+
+def test_v1_wal_generation_is_rejected_with_bad_version(
+    tmp_path: Path,
+) -> None:
+    """A JSON (version 1) WAL, as older builds wrote it, is refused by
+    replay and by the store — there is no version-1 reader."""
+    from repro.dam.journal import JournalWriter
+    from repro.lsm.disk import KVStore
+
+    with JournalWriter(wal_path(tmp_path, 0),
+                       meta={"policy": "kv-wal", "gen": 0}) as w:
+        w.append(put_record(1, "a", 1))
+    with pytest.raises(StorageCorruptionError) as exc:
+        replay_wal(tmp_path, from_gen=0, after_seq=0)
+    assert exc.value.reason == "bad-version"
+    assert "version 1" in str(exc.value) and "version 2" in str(exc.value)
+    with pytest.raises(StorageCorruptionError) as exc:
+        KVStore(tmp_path, sync=False)
+    assert exc.value.reason == "bad-version"
+
+
+_FORGED_PAYLOADS = [
+    b"",                                  # no tag
+    b"\x07",                              # unknown tag
+    b"\x01",                              # put without a header
+    b"\x01" + bytes(12),                  # put without fields
+    b"\x01" + bytes(8) + b"\xff\x00\x00\x00" + b"SaN",  # key past end
+    b"\x01" + bytes(8) + b"\x03\x00\x00\x00" + b"SaN",  # no value field
+    b"\x01" + bytes(8) + b"\x01\x00\x00\x00" + b"XN",   # bad key tag
+    b"\x01" + bytes(8) + b"\x02\x00\x00\x00" + b"SaI\x01\x02",  # short int
+    b"\x01" + bytes(8) + b"\x02\x00\x00\x00" + b"Sa" + b"S\xff\xfe",  # utf-8
+    b"\x01" + bytes(8) + b"\x02\x00\x00\x00" + b"SaJ{oops",  # bad JSON
+    b"\x01" + bytes(8) + b"\x02\x00\x00\x00" + b"SaNx",  # None with a body
+    b"\x02" + bytes(4),                   # short del
+    b"\x02" + bytes(8),                   # del without a key
+    b"\x00[1,2]",                         # JSON that is not an object
+    b'\x00{"seq":1}',                     # JSON object without a type
+    b"\x00\xff",                          # undecodable JSON
+]
+
+
+@pytest.mark.parametrize("payload", _FORGED_PAYLOADS)
+def test_forged_wal_payloads_are_bad_payload(
+    tmp_path: Path, payload: bytes,
+) -> None:
+    """A payload under a valid CRC that does not decode is the journal's
+    typed ``bad-payload`` mid-file, and a torn tail at the end."""
+    from repro.dam.journal import frame_payload
+
+    path = _write_gen(tmp_path, 0, [])
+    good = path.read_bytes()
+    valid = frame_payload(b"\x01" + (1).to_bytes(8, "little")
+                          + b"\x02\x00\x00\x00SaN")
+    path.write_bytes(good + frame_payload(payload) + valid)
+    with pytest.raises(JournalCorruptionError) as exc:
+        replay_wal(tmp_path, from_gen=0, after_seq=0)
+    assert exc.value.reason == "bad-payload"
+    path.write_bytes(good + valid + frame_payload(payload))
+    records, torn = replay_wal(tmp_path, from_gen=0, after_seq=0,
+                               repair=False)
+    assert records == [put_record(1, "a", None)]
+    assert torn == len(frame_payload(payload))
+
+
+def test_every_forged_byte_of_a_record_is_typed_or_decodes(
+    tmp_path: Path,
+) -> None:
+    """Flip each payload byte and recompute the CRC: the scanner either
+    decodes a record or raises its typed error — nothing else escapes."""
+    from repro.dam.journal import frame_payload
+    from repro.lsm.disk.wal import encode_wal_record
+
+    path = _write_gen(tmp_path, 0, [])
+    header = path.read_bytes()
+    for record in (put_record(3, "clé", {"gid": 1, "step": 2}),
+                   put_record(4, "k", -5), delete_record(5, "k")):
+        payload = encode_wal_record(record)
+        for i in range(len(payload)):
+            forged = bytearray(payload)
+            forged[i] ^= 0xFF
+            path.write_bytes(header + frame_payload(bytes(forged))
+                             + frame_payload(payload))
+            try:
+                scan_journal(path)
+            except JournalCorruptionError as exc:
+                assert exc.reason == "bad-payload"
