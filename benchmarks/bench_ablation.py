@@ -48,9 +48,9 @@ def test_ablation_packing_threshold(benchmark):
         ["packing threshold", "cost / LB"],
         rows,
         note="measured: larger sets (up to B/3) batch better on uniform "
-        "backlogs; the paper's B/6 costs ~25% over B/3 but buys the "
+        "backlogs; the paper's B/6 costs ~8% over B/3 but buys the "
         "factor-two slack its proofs use; small thresholds waste flush "
-        "capacity fast.",
+        "capacity the gate's coalescing only partly wins back.",
     )
     inst = uniform_instance(topo, 500, P=4, B=64, seed=0)
     benchmark(lambda: build_packed_sets(inst, denom=6))

@@ -43,8 +43,9 @@ def test_e8_zipf_sweep(benchmark):
         "E8_zipf",
         ["theta", "eager mean", "greedy mean", "worms mean", "worms/LB"],
         rows,
-        note="rising skew concentrates work and narrows the gap between "
-        "batching policies; worms keeps the lead while traffic is spread.",
+        note="rising skew concentrates work; worms keeps the lead at "
+        "every skew, since the gate coalesces concentrated traffic into "
+        "full-B flushes.",
     )
     inst = zipf_instance(topo, 1000, P=4, B=64, theta=1.0, seed=4)
     benchmark(lambda: WormsPolicy().schedule(inst))

@@ -70,7 +70,8 @@ from repro.util.errors import (
 #: meta "policy" tag distinguishing serve journals from batch ones.
 SERVE_POLICY = "serve"
 
-#: forced full re-plans allowed per shard before the loop gives up.
+#: forced full re-plans allowed per shard and deadlock before the loop
+#: gives up; the budget refills once the shard completes a message.
 MAX_FORCED_REPLANS = 2
 
 
@@ -401,6 +402,8 @@ class ServiceLoop:
         self._journal: "_ServeJournal | None" = None
         self._fresh: "list[list[int]]" = [[] for _ in self.engines]
         self._replans_left = [MAX_FORCED_REPLANS] * len(self.engines)
+        #: per-shard completion count at the last forced re-plan.
+        self._replan_mark = [0] * len(self.engines)
         self._next_gid = 0
         #: the durable sink (engine='lsm'); a passive observer of the
         #: loop, opened in the parent so SIGKILLed workers never hold it.
@@ -647,6 +650,10 @@ class ServiceLoop:
     ) -> None:
         """Phase 3 for one shard: epoch / forced planning."""
         force = engine.idle_streak > MAX_IDLE_STEPS
+        if force and engine.stats.completed != self._replan_mark[sid]:
+            # Messages completed since the last forced re-plan: this is
+            # a new deadlock, not the old one recurring.
+            self._replans_left[sid] = MAX_FORCED_REPLANS
         if force and self._replans_left[sid] <= 0:
             self._on_replans_exhausted(sid, engine, t)
             return
@@ -655,6 +662,7 @@ class ServiceLoop:
             self._fresh[sid] = []
             if force:
                 self._replans_left[sid] -= 1
+                self._replan_mark[sid] = engine.stats.completed
 
     def _plan_shards(self, t: int) -> None:
         boundary = self.planner.is_boundary(t)
@@ -684,6 +692,32 @@ class ServiceLoop:
         """Flush and close the durable sink (idempotent; sim: no-op)."""
         if self.store is not None:
             self.store.close()
+
+    def _emit_engine_obs(self, reg) -> None:
+        """Publish the shard engines' flush, retry and merge counters.
+
+        Every driver calls this from its run-end obs block, once the
+        engines' stats hold the whole run.
+        """
+        flush_counter = reg.counter(
+            "serve_flushes_total", "flushes realized by shard engines"
+        )
+        retry_counter = reg.counter(
+            "serve_retries_total", "failed flush attempts across shards"
+        )
+        coalesced_counter = reg.counter(
+            "serve_coalesced_flushes_total",
+            "planned flushes merged into an earlier same-edge flush",
+        )
+        for engine in self.engines:
+            stats = engine.stats
+            flush_counter.inc(stats.flushes)
+            flush_counter.labels(shard=engine.shard_id).inc(stats.flushes)
+            retry_counter.inc(stats.failed_attempts)
+            coalesced_counter.inc(stats.coalesced)
+            coalesced_counter.labels(shard=engine.shard_id).inc(
+                stats.coalesced
+            )
 
     def _emit_pace_obs(self, reg) -> None:
         """Publish the ``stability_pace_*`` family (paced runs only).
@@ -782,6 +816,7 @@ class ServiceLoop:
         #: per-shard admissions since that shard's last plan.
         self._fresh = [[] for _ in engines]
         self._replans_left = [MAX_FORCED_REPLANS] * len(engines)
+        self._replan_mark = [0] * len(engines)
         self._next_gid = 0
         t = 0
         try:
@@ -840,18 +875,7 @@ class ServiceLoop:
             reg.counter(
                 "serve_planned_flushes_total", "flushes emitted by planning"
             ).inc(self.planner.stats.planned_flushes)
-            flush_counter = reg.counter(
-                "serve_flushes_total", "flushes realized by shard engines"
-            )
-            retry_counter = reg.counter(
-                "serve_retries_total", "failed flush attempts across shards"
-            )
-            for engine in engines:
-                flush_counter.inc(engine.stats.flushes)
-                flush_counter.labels(shard=engine.shard_id).inc(
-                    engine.stats.flushes
-                )
-                retry_counter.inc(engine.stats.failed_attempts)
+            self._emit_engine_obs(reg)
             self._emit_pace_obs(reg)
         run_span.finish()
         return self._build_report(t)

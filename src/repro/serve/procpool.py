@@ -108,13 +108,14 @@ class _WorkerShard:
     """One shard's per-process loop state (mirrors the parent's
     ``_fresh`` / ``_replans_left`` bookkeeping)."""
 
-    __slots__ = ("engine", "fresh", "replans_left", "frozen_at",
-                 "unconsumed")
+    __slots__ = ("engine", "fresh", "replans_left", "replan_mark",
+                 "frozen_at", "unconsumed")
 
     def __init__(self, engine) -> None:
         self.engine = engine
         self.fresh: "list[int]" = []
         self.replans_left = MAX_FORCED_REPLANS
+        self.replan_mark = 0
         #: step at which this shard deadlocked with no re-plans left
         #: (the parent quarantines it at the barrier), else None.
         self.frozen_at: "int | None" = None
@@ -366,6 +367,8 @@ class _ShardWorker:
                 if ws.frozen_at is not None:
                     continue
                 force = ws.engine.idle_streak > MAX_IDLE_STEPS
+                if force and ws.engine.stats.completed != ws.replan_mark:
+                    ws.replans_left = MAX_FORCED_REPLANS  # a new deadlock
                 if force and ws.replans_left <= 0:
                     ws.frozen_at = t
                     out[sid]["frozen_at"] = t
@@ -375,6 +378,7 @@ class _ShardWorker:
                     ws.fresh = []
                     if force:
                         ws.replans_left -= 1
+                        ws.replan_mark = ws.engine.stats.completed
             for sid in order:  # phase 4: one DAM step, records buffered
                 ws = self.shards[sid]
                 if ws.frozen_at is not None:
@@ -1265,18 +1269,7 @@ class ProcPoolLoop(SupervisedLoop):
             reg.counter(
                 "serve_planned_flushes_total", "flushes emitted by planning"
             ).inc(self.planner.stats.planned_flushes)
-            flush_counter = reg.counter(
-                "serve_flushes_total", "flushes realized by shard engines"
-            )
-            retry_counter = reg.counter(
-                "serve_retries_total", "failed flush attempts across shards"
-            )
-            for engine in self.engines:
-                flush_counter.inc(engine.stats.flushes)
-                flush_counter.labels(shard=engine.shard_id).inc(
-                    engine.stats.flushes
-                )
-                retry_counter.inc(engine.stats.failed_attempts)
+            self._emit_engine_obs(reg)
             self._emit_pace_obs(reg)
         run_span.finish()
         return self._build_report(t)

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.reduction import reduce_to_scheduling
+from repro.core.task_to_flush import task_schedule_to_flush_schedule
 from repro.core.worms import WORMSInstance
 from repro.dam import validate_valid
 from repro.dam.schedule import Flush
 from repro.faults import FaultInjector, FaultPlan
 from repro.policies import GatedExecutor, ResilientExecutor, WormsPolicy
 from repro.policies.resilient import VECTOR_SCAN_AUTO_THRESHOLD
+from repro.scheduling.mphtf import mphtf_schedule
+from repro.serve.router import ShardEngine
 from repro.tree import Message, balanced_tree, path_tree
 from repro.util.errors import InvalidInstanceError
 from tests.conftest import make_uniform
@@ -38,6 +42,38 @@ def test_vector_scan_byte_identical_to_scalar(seed):
     vector = run_with(inst, ordered, "vector")
     assert vector.steps == scalar.steps
     assert vector.steps == GatedExecutor(inst).run(list(ordered)).steps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_raw_order_coalesces_identically_on_every_gate(seed):
+    """``WormsPolicy`` returns an already-merged schedule, so feeding it
+    back leaves nothing to merge; the raw Lemma 8 order does not.  All
+    four gates must merge it identically."""
+    inst = make_uniform(balanced_tree(3, 3), n_messages=200, P=3, B=16,
+                        seed=seed)
+    reduced = reduce_to_scheduling(inst)
+    plan = task_schedule_to_flush_schedule(
+        reduced, mphtf_schedule(reduced.scheduling)
+    )
+    ordered = ordered_flushes(plan)
+    scalar = ResilientExecutor(inst, scan="scalar")
+    vector = ResilientExecutor(inst, scan="vector")
+    steps = scalar.run(list(ordered)).steps
+    assert vector.run(list(ordered)).steps == steps
+    assert GatedExecutor(inst).run(list(ordered)).steps == steps
+    engine = ShardEngine(0, inst.topology, inst.P, inst.B)
+    for m, target in enumerate(inst.targets.tolist()):
+        engine.admit(m, target, 1)
+    engine.set_plan(list(ordered))
+    t = 0
+    while engine.in_flight:
+        t += 1
+        engine.step(t)
+    assert engine.schedule.steps == steps
+    assert scalar.stats.coalesced > 0
+    assert vector.stats.coalesced == engine.stats.coalesced \
+        == scalar.stats.coalesced
+    assert sum(len(step) for step in steps) < len(ordered)
 
 
 def test_vector_scan_identical_on_skewed_instances():

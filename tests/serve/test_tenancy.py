@@ -316,7 +316,8 @@ def test_disabled_tenancy_has_no_tenant_surface():
 @pytest.mark.parametrize("seed", [1, 9, 21])
 def test_fairness_under_ten_to_one_overload(seed):
     """10:1 offered load, equal weights: admitted throughput within
-    1.25x of 1:1 over the window where both lanes are backlogged."""
+    1.25x of 1:1 over the steps where both lanes of a shard are
+    backlogged."""
     tenants = (
         TenantSpec(name="hot", rate=30.0, messages=300),
         TenantSpec(name="light", rate=3.0, messages=300),
@@ -326,16 +327,21 @@ def test_fairness_under_ten_to_one_overload(seed):
                       tenants=tenants)
     report = ServiceLoop(cfg).run()
     m = report.metrics
-    last_admit = [0, 0]
-    for gid, step in m.admit_step.items():
-        tid = m.tenant_of[gid]
-        last_admit[tid] = max(last_admit[tid], step)
-    # Skip the start-up transient (hot floods before light's lane
-    # fills; work-conserving DRR rightly gives it the idle capacity).
-    lo, hi = 5, min(last_admit)
+    # A lane (shard, tenant) is backlogged at a step's drain when it
+    # carries a message over from an earlier step: one that arrived
+    # before the step and is admitted at it or later.  DRR's share is a
+    # promise about steps where *both* lanes of a shard are backlogged,
+    # so each admission counts only if both lanes of its shard were.
+    backlogged: "dict[tuple[int, int], set[int]]" = {}
+    for gid, admit in m.admit_step.items():
+        lane = (m.shard_of[gid], m.tenant_of[gid])
+        backlogged.setdefault(lane, set()).update(
+            range(m.arrival_step[gid] + 1, admit + 1)
+        )
     counts = [0, 0]
     for gid, step in m.admit_step.items():
-        if lo <= step <= hi:
+        sid = m.shard_of[gid]
+        if all(step in backlogged.get((sid, tid), ()) for tid in (0, 1)):
             counts[m.tenant_of[gid]] += 1
     assert counts[0] > 0 and counts[1] > 0
     ratio = counts[0] / counts[1]
