@@ -112,7 +112,7 @@ def main() -> None:
         leaves=meta["leaves"], fanout=meta["fanout"],
         height=meta["height"], skew=meta["skew"], seed=meta["seed"],
     )
-    ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
+    ordered = WormsPolicy().priority_order(inst)
     reference = _executor_for(inst, meta).run(list(ordered))
 
     report = manager.recover(inst, reference)

@@ -32,8 +32,9 @@ def main() -> None:
     instance = uniform_instance(topo, n_messages=600, P=P, B=B, seed=7)
     print(f"instance: {instance!r}")
 
-    planned = WormsPolicy().schedule(instance)
-    ordered = [f for _t, f in planned.iter_timed()]
+    policy = WormsPolicy()
+    planned = policy.schedule(instance)
+    ordered = policy.priority_order(instance)
     clean = simulate(instance, planned)
     print(f"fault-free plan: {planned.n_steps} steps, "
           f"mean completion {clean.completion_times.mean():.1f}\n")

@@ -270,7 +270,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     inst = _make_instance(args)
     print(f"instance: {inst!r}")
-    ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
+    ordered = WormsPolicy().priority_order(inst)
     meta = {
         "policy": "worms",
         "messages": args.messages, "P": args.P, "B": args.B,
@@ -657,9 +657,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
             height=meta["height"], skew=meta["skew"], seed=meta["seed"],
         )
         print(f"instance (rebuilt from journal meta): {inst!r}")
-        ordered = [
-            f for _t, f in WormsPolicy().schedule(inst).iter_timed()
-        ]
+        ordered = WormsPolicy().priority_order(inst)
         # Deterministic replay of the interrupted run's config gives the
         # schedule the journal must be a prefix of.
         reference = _executor_for(inst, meta).run(list(ordered))

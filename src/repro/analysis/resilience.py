@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 from repro.analysis.stats import summarize
 from repro.core.worms import WORMSInstance
-from repro.dam.schedule import Flush, FlushSchedule
 from repro.dam.validator import validate_valid
 from repro.faults.bursts import BurstInjector, BurstPlan
 from repro.faults.injector import FaultInjector
@@ -89,11 +88,6 @@ class ResilienceCell:
         ]
 
 
-def _ordered_flushes(schedule: FlushSchedule) -> "list[Flush]":
-    """A schedule's flushes in time order = the executor priority order."""
-    return [f for _t, f in schedule.iter_timed()]
-
-
 def resilience_sweep(
     instance: WORMSInstance,
     policies: "Iterable[Policy] | None" = None,
@@ -125,7 +119,7 @@ def resilience_sweep(
         policies = default_resilience_policies()
     cells: list[ResilienceCell] = []
     for policy in policies:
-        ordered = _ordered_flushes(policy.schedule(instance))
+        ordered = policy.priority_order(instance)
         clean_exec = ResilientExecutor(instance)
         clean_sched = clean_exec.run(list(ordered))
         clean = validate_valid(instance, clean_sched)

@@ -19,7 +19,7 @@ from repro.core.pipeline import solve_worms
 from repro.core.reduction import reduce_to_scheduling
 from repro.core.task_to_flush import task_schedule_to_flush_schedule
 from repro.core.worms import WORMSInstance
-from repro.dam.schedule import FlushSchedule
+from repro.dam.schedule import Flush, FlushSchedule
 from repro.policies.base import Policy
 from repro.policies.executor import execute_flush_list
 from repro.scheduling.cost import TaskSchedule
@@ -46,6 +46,17 @@ class WormsPolicy(Policy):
 
     def schedule(self, instance: WORMSInstance) -> FlushSchedule:
         """Reduce, schedule tasks, and execute under the admission gate."""
+        return execute_flush_list(instance, self.priority_order(instance))
+
+    def priority_order(self, instance: WORMSInstance) -> "list[Flush]":
+        """The Lemma 8 flush order, before the gate merges anything.
+
+        Laminar (every flush's messages reached its source in one earlier
+        flush), so a faulty replay through
+        :class:`~repro.policies.resilient.ResilientExecutor` keeps the
+        gate's no-deadlock guarantee; the merged realized schedule would
+        not.
+        """
         reduced = reduce_to_scheduling(instance)
         if self._task_scheduler is None:
             horn = compute_horn(reduced.scheduling)
@@ -53,8 +64,7 @@ class WormsPolicy(Policy):
         else:
             sigma = self._task_scheduler(reduced.scheduling)
         overfilling = task_schedule_to_flush_schedule(reduced, sigma)
-        ordered = [flush for _t, flush in overfilling.iter_timed()]
-        return execute_flush_list(instance, ordered)
+        return [flush for _t, flush in overfilling.iter_timed()]
 
 
 class PhtfWormsPolicy(WormsPolicy):
