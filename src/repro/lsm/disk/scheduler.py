@@ -18,7 +18,10 @@ Two regimes, mirroring the in-memory substrate:
   :class:`HornDensityPolicy` scores each candidate merge by
   *obligations retired per entry moved* — the same work-per-progress
   ratio as the paper's Horn densities, transplanted from simulated
-  markers to physical tombstones.
+  markers to physical tombstones.  A candidate is admitted only while
+  it moves at most ``size_ratio`` entries per source entry — what a
+  leveled capacity merge pays per entry anyway — so obligation drain
+  never pays more per entry than leveling does.
 
 Policies return a :class:`CompactionTask` (or None when nothing needs
 doing); :meth:`repro.lsm.disk.kvstore.KVStore.maintain` executes at most
@@ -161,6 +164,14 @@ class HornDensityPolicy(DiskCompactionPolicy):
     ``advance_weight``.  Runs below ``min_density`` are left alone:
     merging them moves many entries to finish few obligations, the
     exact waste the paper's density ordering avoids.
+
+    A candidate whose ``entries_moved`` exceeds ``size_ratio`` times its
+    own entries is skipped too: a leveled capacity merge moves about
+    ``size_ratio`` entries per source entry, so a dearer drain would
+    pay more per entry than leveling does.  Without this bound a fresh
+    L0 run of uniform keys overlaps every L1 file and each memtable
+    flush rewrites all of L1.  The candidate stays eligible and runs
+    once its overlap shrinks.
     """
 
     name = "horn-density"
@@ -173,8 +184,9 @@ class HornDensityPolicy(DiskCompactionPolicy):
     def _admit(self, moved: int) -> bool:
         """Hook: may a density candidate moving ``moved`` entries run?
 
-        The base policy admits everything; :class:`PacedHornPolicy`
-        bounds it.  Capacity restoration never consults this hook —
+        The base policy admits every candidate within the
+        ``size_ratio`` bound; :class:`PacedHornPolicy` bounds it
+        further.  Capacity restoration never consults this hook —
         invariant repair is correctness work and always wins.
         """
         return True
@@ -200,11 +212,14 @@ class HornDensityPolicy(DiskCompactionPolicy):
                     group = _l0_closure(manifest.levels[0], meta)
                 else:
                     group = [meta]
-                moved = sum(m.entries for m in group) + sum(
+                source = sum(m.entries for m in group)
+                moved = source + sum(
                     m.entries
                     for m in below
                     if any(g.overlaps(m) for g in group)
                 )
+                if moved > size_ratio * source:
+                    continue
                 retired = sum(m.tombstones for m in group)
                 density = weight * retired / max(1, moved)
                 if density <= self.min_density:

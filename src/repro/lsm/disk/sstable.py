@@ -13,7 +13,7 @@ wrong value.
 
 File layout (all integers little-endian)::
 
-    header   b"WSST" + u32 version (2)                      (8 bytes)
+    header   b"WSST" + u32 version (3)                      (8 bytes)
     blocks   repeat: u32 len | u32 CRC-32 | payload         (packed rows)
     bloom    u32 len | u32 CRC-32 | u64 m | u8 k | m/8 bit bytes
     index    u32 len | u32 CRC-32 | payload                 (packed block map)
@@ -39,9 +39,12 @@ that fits the column.  The index is ``u32 count``, then the blocks' u64
 offsets, u32 lengths and u32 row counts (a column each), then their
 first and last keys as one key column; a point read touches the footer,
 index, bloom, and exactly one data block.  The bloom filter (double
-hashing over two CRC-32 streams of each key's JSON text) makes a
-negative probe cost zero block reads — the read/write asymmetry the
-paper's model charges for, now in real bytes.
+hashing over the two 64-bit halves of one BLAKE2b digest of each key's
+JSON text, 10 bits per key) makes a negative probe cost zero block
+reads — the read/write asymmetry the paper's model charges for, now in
+real bytes.  Version 3 changed only the bloom hash, so the bits of a
+version 2 file are meaningless to this build: reading one would report
+present keys absent, which is why it raises ``bad-version``.
 
 A payload that passes its CRC but does not decode (wrong lengths, an
 unknown width, bad UTF-8 or JSON) raises the same typed error as a CRC
@@ -58,6 +61,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from hashlib import blake2b
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -67,7 +71,7 @@ from repro.util.errors import InvalidInstanceError, StorageCorruptionError
 from repro.util.fsio import resolve
 
 SST_MAGIC = b"WSST"
-SST_VERSION = 2
+SST_VERSION = 3
 _U32 = struct.Struct("<I")
 _SST_HEADER = SST_MAGIC + _U32.pack(SST_VERSION)
 _SECTION = struct.Struct("<II")  # payload length, CRC-32
@@ -76,6 +80,7 @@ FOOTER_MAGIC = b"TSSW"
 _BLOCK_HEAD = struct.Struct("<IQB")  # rows, seq base, seq width
 _VALUE_BASE = struct.Struct("<q")
 _BLOOM_HEAD = struct.Struct("<QB")  # m bits, k hashes
+_BLOOM_HASH = struct.Struct("<QQ")  # h1, h2: halves of one digest
 
 #: entry kinds on disk.
 KIND_PUT = 0
@@ -237,8 +242,12 @@ def _decode_index(buf: bytes) -> "list[list]":
 class BloomFilter:
     """A classic m-bit, k-hash bloom filter over JSON-encoded keys.
 
-    Double hashing from two seeded CRC-32 streams: cheap, stdlib-only,
-    and deterministic across processes (no ``PYTHONHASHSEED`` exposure).
+    Kirsch–Mitzenmacher double hashing: position ``i`` of a key is
+    ``(h1 + i * h2) mod m``, with ``h1`` and ``h2`` (forced odd) the two
+    little-endian 64-bit halves of one 16-byte BLAKE2b digest of the
+    key's JSON text.  The halves are independent, so ``k`` probes cost
+    one digest and behave like ``k`` hashes; the digest is deterministic
+    across processes (no ``PYTHONHASHSEED`` exposure).
     """
 
     def __init__(self, m_bits: int, k_hashes: int,
@@ -258,21 +267,27 @@ class BloomFilter:
         k = max(1, min(16, round(0.6931 * m / max(1, n))))
         return cls(m, k)
 
-    def _positions(self, key) -> "list[int]":
-        kb = _key_bytes(key)
-        h1 = zlib.crc32(kb)
-        h2 = zlib.crc32(kb, 0x9747B28C) | 1
-        return [(h1 + i * h2) % self.m for i in range(self.k)]
+    def _probe(self, key) -> "tuple[int, int]":
+        """First bit position and stride of ``key``, both mod ``m``."""
+        h1, h2 = _BLOOM_HASH.unpack(blake2b(_key_bytes(key),
+                                            digest_size=16).digest())
+        return h1 % self.m, (h2 | 1) % self.m
 
     def add(self, key) -> None:
-        for pos in self._positions(key):
-            self.bits[pos >> 3] |= 1 << (pos & 7)
+        pos, step = self._probe(key)
+        m, bits = self.m, self.bits
+        for _ in range(self.k):
+            bits[pos >> 3] |= 1 << (pos & 7)
+            pos = (pos + step) % m
 
     def __contains__(self, key) -> bool:
-        return all(
-            self.bits[pos >> 3] & (1 << (pos & 7))
-            for pos in self._positions(key)
-        )
+        pos, step = self._probe(key)
+        m, bits = self.m, self.bits
+        for _ in range(self.k):
+            if not bits[pos >> 3] >> (pos & 7) & 1:
+                return False
+            pos = (pos + step) % m
+        return True
 
     def to_payload(self) -> bytes:
         return _BLOOM_HEAD.pack(self.m, self.k) + bytes(self.bits)

@@ -10,6 +10,7 @@ from repro.faults.crashes import flip_byte, truncate_at
 from repro.lsm.disk.sstable import (
     KIND_PUT,
     KIND_TOMBSTONE,
+    SST_VERSION,
     BloomFilter,
     SSTableReader,
     sstable_name,
@@ -194,7 +195,7 @@ def test_overlaps() -> None:
     assert not mk("a", "c").overlaps_range("d", "z")
 
 
-# -- binary format (version 2) -----------------------------------------
+# -- binary format (version 3) -----------------------------------------
 
 _BLOOM_KEYS = [
     "", "plain", "k012345", 'say "hi"', "back\\slash", "tab\there",
@@ -205,16 +206,37 @@ _BLOOM_KEYS = [
 
 def test_bloom_positions_pinned_to_json_text() -> None:
     """The bloom hash input is each key's compact JSON text, bit for bit,
-    whatever shortcut computes it."""
+    whatever shortcut computes it; ``h1``/``h2`` are the little-endian
+    64-bit halves of its 16-byte BLAKE2b digest."""
+    import hashlib
     import json
-    import zlib
 
-    bf = BloomFilter(997, 7)
     for key in _BLOOM_KEYS:
         kb = json.dumps(key, separators=(",", ":")).encode("utf-8")
-        h1 = zlib.crc32(kb)
-        h2 = zlib.crc32(kb, 0x9747B28C) | 1
-        assert bf._positions(key) == [(h1 + i * h2) % 997 for i in range(7)]
+        digest = hashlib.blake2b(kb, digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "little")
+        h2 = int.from_bytes(digest[8:], "little") | 1
+        want = {(h1 + i * h2) % 997 for i in range(7)}
+        bf = BloomFilter(997, 7)
+        bf.add(key)
+        got = {i for i in range(997) if bf.bits[i >> 3] >> (i & 7) & 1}
+        assert got == want, key
+        assert key in bf
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_bloom_false_positive_rate_near_theory(n: int) -> None:
+    """Equal-length keys at the default 10 bits/key, where theory says
+    0.82% false positives.  Two hashes that depend on each other (two
+    CRC-32s of the same bytes differ by a constant XOR for equal
+    lengths) push this to 2.4-3.8%."""
+    bf = BloomFilter.for_entries(n)
+    for i in range(n):
+        bf.add(f"k{i:06d}")
+    probes = 20_000
+    false_hits = sum(f"k{j:06d}" in bf for j in range(100_000,
+                                                      100_000 + probes))
+    assert false_hits / probes <= 0.015
 
 
 def test_bloom_payload_is_raw_bits() -> None:
@@ -384,7 +406,26 @@ def test_v1_sstable_is_rejected_with_bad_version(tmp_path: Path) -> None:
     with pytest.raises(StorageCorruptionError) as exc:
         SSTableReader(path)
     assert exc.value.reason == "bad-version"
-    assert "version 1" in str(exc.value) and "version 2" in str(exc.value)
+    assert "version 1" in str(exc.value)
+    assert f"version {SST_VERSION}" in str(exc.value)
+
+
+def test_v2_sstable_is_rejected_with_bad_version(tmp_path: Path) -> None:
+    """Version 2 has this layout but CRC-32 bloom bits: read with the
+    current hash, its bloom would report present keys absent."""
+    import struct
+
+    assert SST_VERSION == 3
+    meta = write_sstable(tmp_path, 1, _entries(40))
+    path = tmp_path / meta.name
+    data = bytearray(path.read_bytes())
+    data[4:8] = struct.pack("<I", 2)
+    path.write_bytes(bytes(data))
+    with pytest.raises(StorageCorruptionError) as exc:
+        SSTableReader(path)
+    assert exc.value.reason == "bad-version"
+    assert exc.value.offset == 4
+    assert "version 2" in str(exc.value)
 
 
 def test_non_str_keys_and_values_use_the_json_columns(tmp_path: Path) -> None:
