@@ -217,9 +217,11 @@ def test_e13_scan_optimization(benchmark):
         rows,
         note="before = commit e2ed945; after = memoized fault draws + "
         "O(1) first-message reject + static parking + lazy pending "
-        "compaction, running the planned Lemma 8 order.  The after runs "
-        "coalesce ready same-edge flushes, so their realized schedules "
-        "(fewer, fuller flushes) differ from the before runs'.",
+        "compaction with a live open-flush count, running the planned "
+        "Lemma 8 order through the one gate (ShardEngine.step, drained by "
+        "the executors).  The after runs coalesce ready same-edge "
+        "flushes, so their realized schedules (fewer, fuller flushes) "
+        "differ from the before runs'.",
     )
     topo = balanced_tree(4, 4)
     inst = uniform_instance(topo, 20000, P=4, B=64, seed=3)

@@ -1,7 +1,7 @@
-"""Admission-gated executor for ordered flush lists.
+"""Admission-gated execution of ordered flush lists.
 
 Given a list of flushes in a *desired priority order* (e.g. the Lemma 8
-order induced by an MPHTF task schedule), the executor replays them under
+order induced by an MPHTF task schedule), the gate replays them under
 the DAM constraints, producing a schedule that is **valid by
 construction**:
 
@@ -12,6 +12,19 @@ construction**:
 * each time step greedily runs up to ``P`` ready-and-admissible flushes in
   priority order.
 
+**One gate.**  The scan that applies these rules is
+:meth:`repro.serve.router.ShardEngine.step`, and nothing else implements
+it.  This module holds the rules' data structures (:class:`PendingFlush`,
+:class:`EdgeQueues` and the fault settlement helpers) and
+:class:`GatedExecutor`, the *drain loop*: it seeds a one-shard engine
+with the instance's start state and the priority order and steps it
+until no flush is pending.  The loop adds only what a batch run has and
+a service must not do: a step where nothing was attempted and nothing
+was waiting is rolled back (an idle step would inflate costs),
+``MAX_IDLE_STEPS`` of those in a row raise (or, in
+:class:`~repro.policies.resilient.ResilientExecutor`, re-plan), and the
+journal gets its checkpoints.
+
 **Coalescing.**  The DAM model lets one IO move up to ``B`` messages
 along an edge, but a priority list usually holds several small flushes
 on the same edge.  When the gate selects a flush ``src -> dest`` it
@@ -21,11 +34,7 @@ messages would push the merged flush past ``B`` or ``dest``'s projected
 parked count past ``B``.  The merged members are consumed and
 the realized flush carries their union: one IO, one of the step's ``P``
 slots.  :class:`EdgeQueues` keeps the pending flushes grouped per edge in
-priority order, so the lookup costs O(pending on that edge).  Every gate
-(this one, both scans of
-:class:`~repro.policies.resilient.ResilientExecutor` and
-:meth:`repro.serve.router.ShardEngine.step`) merges through it, so their
-schedules stay byte-identical.
+priority order, so the lookup costs O(pending on that edge).
 
 For laminar flush lists (every flush's messages arrived at its source in
 a single earlier flush — which is exactly what the packed-set reduction
@@ -58,20 +67,26 @@ at its destination is a static property, precomputed once, so the O(1)
 admission test runs before the O(size) readiness check (coalesced
 flushes fill destinations to ``B``, leaving many ready flushes blocked
 on space); and consumed flushes are flagged and compacted away lazily
-instead of rebuilding the pending list every step.  Merge candidates are
-screened the same way: size and space first, readiness last.
+instead of rebuilding the pending list every step, with a live count of
+the open ones.  Merge candidates are screened the same way: size and
+space first, readiness last.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.dam.trace import CheckpointRecord
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
-from repro.util.errors import ExecutionStalledError, InvalidInstanceError
+from repro.util.errors import (
+    ExecutionStalledError,
+    InvalidInstanceError,
+    ReproError,
+)
 
 #: Safety valve: abort rather than loop forever on a malformed flush list.
 MAX_IDLE_STEPS = 4
@@ -96,10 +111,13 @@ class PendingFlush:
 
 
 def as_pending(flushes: "list[Flush]", target_of) -> "list[PendingFlush]":
-    """Wrap ``flushes`` for a gate; ``target_of(m)`` is m's target node."""
+    """Wrap ``flushes`` for the gate; ``target_of(m)`` is m's target node.
+
+    A flush's parking is its messages whose target is not ``dest``.
+    """
     return [
         PendingFlush(
-            f, parking=sum(1 for m in f.messages if target_of(m) != f.dest)
+            f, len(f.messages) - [*map(target_of, f.messages)].count(f.dest)
         )
         for f in flushes
     ]
@@ -108,7 +126,7 @@ def as_pending(flushes: "list[Flush]", target_of) -> "list[PendingFlush]":
 class EdgeQueues:
     """Pending flushes grouped by ``(src, dest)``, each in priority order.
 
-    The coalescing index of the admission gates (see module docstring).
+    The coalescing index of the admission gate (see module docstring).
     Flushes keep their edge for life (a partial remainder stays on it),
     so a queue only ever loses entries: :meth:`coalesce` drops the
     finished ones at its head as it goes.
@@ -140,7 +158,7 @@ class EdgeQueues:
         size_room: int,
         park_room: int,
         completions_only: bool = False,
-    ) -> "tuple[Flush, int, list[PendingFlush]]":
+    ) -> "tuple[Flush, list[PendingFlush]]":
         """Merge later same-edge flushes into ``lead`` at step ``t``.
 
         A member must be eligible (``eligible_at <= t``) and fully ready
@@ -151,16 +169,16 @@ class EdgeQueues:
         messages or ``park_room`` more parked messages at ``dest`` is
         passed over.
 
-        Returns ``(flush, parking, members)``: the single IO carrying
-        ``lead`` plus its members, the members' added parking at
-        ``dest``, and the members themselves, already marked done.  A
+        Returns ``(flush, members)``: the single IO carrying ``lead``
+        plus its members, and the members themselves, already marked
+        done.  A
         caller whose IO fails or partially applies re-opens them with
         :func:`back_off` / :func:`settle_partial`; the lead is the
         caller's to settle.
         """
         flush = lead.flush
         if size_room <= 0:
-            return flush, 0, []
+            return flush, []
         src = flush.src
         queue = self._queues[(src, flush.dest)]
         at = queue.index(lead)
@@ -171,7 +189,6 @@ class EdgeQueues:
             del queue[:head]
             at -= head
         members: "list[PendingFlush]" = []
-        parking = 0
         taken = None
         for i in range(at + 1, len(queue)):
             pf = queue[i]
@@ -187,22 +204,25 @@ class EdgeQueues:
                 continue
             if taken is None:
                 taken = set(flush.messages)
-            if any(where(m) != src or m in moved or m in taken for m in msgs):
+            if (
+                [*map(where, msgs)].count(src) != len(msgs)
+                or not moved.isdisjoint(msgs)
+                or not taken.isdisjoint(msgs)
+            ):
                 continue
             size_room -= len(msgs)
             park_room -= park
-            parking += park
             pf.done = True
             members.append(pf)
             if not size_room:
                 break
             taken.update(msgs)
         if not members:
-            return flush, 0, members
+            return flush, members
         msgs = flush.messages
         for pf in members:
             msgs += pf.flush.messages
-        return Flush(src, flush.dest, msgs), parking, members
+        return Flush(src, flush.dest, msgs), members
 
 
 def back_off(pf: PendingFlush, t: int) -> None:
@@ -290,7 +310,7 @@ def execute_flush_list(
 def record_run_metrics(
     metrics, schedule: FlushSchedule, coalesced: int
 ) -> None:
-    """End-of-run executor counters, shared by both executors.
+    """End-of-run counters of a :class:`GatedExecutor` drain.
 
     ``coalesced`` counts the planned flushes the gate folded into an
     earlier same-edge flush (see module docstring).
@@ -326,54 +346,111 @@ def record_run_metrics(
     ).inc(coalesced)
 
 
+def in_flight_locations(
+    instance: WORMSInstance, targets: "list[int]"
+) -> "dict[int, int]":
+    """``{message: start node}`` for every message not starting at its
+    target: the state a drain seeds its engine with."""
+    starts = instance.start_nodes
+    if starts is None:
+        starts = repeat(instance.topology.root)
+    return {
+        m: v for m, (v, target) in enumerate(zip(starts, targets))
+        if v != target
+    }
+
+
+def all_locations(engine, targets: "list[int]") -> "list[int]":
+    """Every message's node: in flight per ``engine``, else its target."""
+    location = list(targets)
+    for m, v in engine.location.items():
+        location[m] = v
+    return location
+
+
+@dataclass
+class ResilienceStats:
+    """Counters describing what recovery machinery actually did."""
+
+    failed_attempts: int = 0
+    partial_deliveries: int = 0
+    stalled_skips: int = 0
+    replans: int = 0
+    wait_steps: int = 0
+    #: flushes parked by fault-aware admission without probing the node.
+    fault_aware_skips: int = 0
+    #: steps where degraded capacity made admission prefer completions.
+    degraded_triage_steps: int = 0
+    #: planned flushes merged into an earlier same-edge flush.
+    coalesced: int = 0
+    fault_events: list = field(default_factory=list)
+
+
+#: ResilienceStats counters a drain adds from its engine's ShardStats.
+_ENGINE_COUNTERS = (
+    "failed_attempts", "partial_deliveries", "stalled_skips",
+    "fault_aware_skips", "degraded_triage_steps", "coalesced",
+)
+
+
 class _RunJournal:
     """Per-run journaling state: completion tracking + record emission.
 
-    Instantiated only when journaling is on, so the fault-free,
-    journal-free path allocates nothing.  Flushes the writer at every
-    checkpoint — the durability points recovery resumes from.
+    Instantiated only when journaling is on, so the journal-free path
+    allocates nothing.  It is the ``journal`` the drain hands to
+    :meth:`~repro.serve.router.ShardEngine.step` (the shard id of its
+    records is dropped: a batch journal has one shard).  Flushes the
+    writer at every checkpoint — the durability points recovery resumes
+    from.
     """
 
     def __init__(self, writer, owned: bool, targets: "list[int]",
-                 checkpoint_every: int, location: "list[int]") -> None:
+                 checkpoint_every: int, engine) -> None:
         self.writer = writer
         self.owned = owned
         self.targets = targets
         self.every = checkpoint_every
+        self.engine = engine
         self.completion = [0] * len(targets)
-        self._checkpoint(0, location)
+        #: whether a flush was recorded since the last end_step.
+        self._flushed = False
+        self._checkpoint(0)
 
-    def _checkpoint(self, step: int, location: "list[int]") -> None:
+    def _checkpoint(self, step: int) -> None:
         from repro.dam.journal import checkpoint_record
 
+        location = all_locations(self.engine, self.targets)
         self.writer.append(checkpoint_record(CheckpointRecord(
-            step, tuple(int(v) for v in location), tuple(self.completion)
+            step, tuple(location), tuple(self.completion)
         )))
         self.writer.flush()
 
-    def record_flush(self, t: int, flush: Flush) -> None:
+    def record_flush(self, t: int, _shard: int, flush: Flush) -> None:
         from repro.dam.journal import flush_record
 
         self.writer.append(flush_record(t, flush))
+        self._flushed = True
         dest = flush.dest
         completion = self.completion
         for m in flush.messages:
             if self.targets[m] == dest and completion[m] == 0:
                 completion[m] = t
 
-    def record_fault(self, t: int, kind: str, src: int, dest: int,
-                     detail: str) -> None:
+    def record_fault(self, t: int, _shard: int, kind: str, src: int,
+                     dest: int, detail: str) -> None:
         from repro.dam.journal import fault_record
 
         self.writer.append(fault_record(t, kind, src, dest, detail))
 
-    def end_step(self, t: int, location: "list[int]") -> None:
-        if t % self.every == 0:
-            self._checkpoint(t, location)
+    def end_step(self, t: int) -> None:
+        """Checkpoint on the cadence, after steps that moved messages."""
+        if self._flushed and t % self.every == 0:
+            self._checkpoint(t)
+        self._flushed = False
 
-    def finish(self, n_steps: int, location: "list[int]") -> None:
+    def finish(self, n_steps: int) -> None:
         """The run completed: final checkpoint + ``end`` record."""
-        self._checkpoint(n_steps, location)
+        self._checkpoint(n_steps)
         self.writer.append({"type": "end", "t": int(n_steps)})
         self.writer.flush()
         if self.owned:
@@ -403,6 +480,18 @@ class GatedExecutor:
         journal).  Smaller = less replay on recovery, more bytes.
     """
 
+    # The gated executor is the drain with no faults and no re-plans;
+    # ResilientExecutor sets these per instance.
+    injector = None
+    fault_aware = False
+    retry_budget = 5
+    max_replans = 0
+    replanner = None
+    max_steps: "int | None" = None
+    #: tracer span of :meth:`run`, and the name in error messages.
+    span_name = "executor.run"
+    label = "gated executor"
+
     def __init__(
         self,
         instance: WORMSInstance,
@@ -411,18 +500,16 @@ class GatedExecutor:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> None:
         self.instance = instance
-        topo = instance.topology
-        self._is_leaf = [topo.is_leaf(v) for v in range(topo.n_nodes)]
-        self._root = topo.root
         if checkpoint_every < 1:
             raise InvalidInstanceError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
         self.checkpoint_every = int(checkpoint_every)
         self.journal = journal
+        self.stats = ResilienceStats()
 
     # ------------------------------------------------------------------
-    def _start_journal(self, location: "list[int]",
+    def _start_journal(self, engine,
                        targets: "list[int]") -> "_RunJournal | None":
         """Open per-run journal state (None when journaling is off)."""
         if self.journal is None:
@@ -444,141 +531,153 @@ class GatedExecutor:
                 },
             ), True
         return _RunJournal(writer, owned, targets, self.checkpoint_every,
-                           location)
+                           engine)
 
-    def run(self, flushes: list[Flush]) -> FlushSchedule:
-        """Replay ``flushes`` in priority order; returns a valid schedule."""
+    def run(self, flushes: "list[Flush]") -> FlushSchedule:
+        """Replay ``flushes`` in priority order; returns a valid schedule.
+
+        The drain loop: a one-shard :class:`~repro.serve.router.ShardEngine`
+        seeded with the instance's start state and ``flushes`` is stepped
+        until no flush is pending.  The loop adds what only batch runs
+        have: a step where nothing was attempted and nothing was waiting
+        is rolled back, ``MAX_IDLE_STEPS`` of those in a row (or a flush
+        reaching the retry budget) re-plan or raise, and ``max_steps``
+        bounds the run.
+        """
+        # Imported here: the serve package imports this module.
+        from repro.serve.router import ShardEngine
+
         # Observability is bound once per run: the disabled default makes
         # every per-step decision and allocation below identical to the
         # pre-instrumentation executor (pinned by tests/obs).
         obs = current_obs()
         span = obs.tracer.span(
-            "executor.run", category="executor", flushes=len(flushes)
+            self.span_name, category="executor", flushes=len(flushes)
         )
         t_wall = obs.profiler.clock() if obs.enabled else 0.0
         inst = self.instance
-        is_leaf = self._is_leaf
-        root = self._root
-        P, B = inst.P, inst.B
         targets = inst.targets.tolist()
-        location = [inst.start_of(m) for m in range(inst.n_messages)]
-        occupancy = [0] * inst.topology.n_nodes  # parked msgs per internal node
-        for m in range(inst.n_messages):
-            v = location[m]
-            if v != root and not is_leaf[v] and v != targets[m]:
-                occupancy[v] += 1
-
-        pending = as_pending(flushes, targets.__getitem__)
-        edges = EdgeQueues(pending)
-        where = location.__getitem__
-        journal = self._start_journal(location, targets)
-        n_pending = len(pending)
-        coalesced = 0
-        schedule = FlushSchedule()
+        engine = ShardEngine(
+            0, inst.topology, inst.P, inst.B, injector=self.injector,
+            fault_aware=self.fault_aware, retry_budget=self.retry_budget,
+        )
+        engine.restore_state(in_flight_locations(inst, targets), targets)
+        engine.set_plan(flushes)
+        journal = self._start_journal(engine, targets)
+        stats = self.stats
+        max_steps = self.max_steps
         t = 0
         idle = 0
+        replans = 0
         try:
-            while n_pending:
+            while engine.pending_flushes:
                 t += 1
-                ran: list[Flush] = []
-                finished = 0
-                moved: set[int] = set()
-                # One pass over pending flushes in priority order; stop
-                # once P flushes are placed.  Arrivals take effect *after*
-                # the step, so readiness/admission use start-of-step state
-                # plus this step's own departures/arrivals bookkeeping.
-                departed: dict[int, int] = {}
-                arrived: dict[int, int] = {}
-                for pf in pending:
-                    if pf.done:
-                        continue
-                    if len(ran) >= P:
-                        break
-                    flush = pf.flush
-                    src = flush.src
-                    msgs = flush.messages
-                    if location[msgs[0]] != src:
-                        continue  # O(1) reject: first message not here yet
-                    dest = flush.dest
-                    # Messages completing at dest (a leaf, or their
-                    # internal target under the footnote-3 extension)
-                    # never park there.
-                    park = pf.parking
-                    room = B - len(msgs)
-                    park_room = room
-                    if not is_leaf[dest]:
-                        projected = (
-                            occupancy[dest]
-                            - departed.get(dest, 0)
-                            + arrived.get(dest, 0)
-                            + park
-                        )
-                        if projected > B:
-                            continue
-                        park_room = B - projected
-                    if any(
-                        location[m] != src or m in moved for m in msgs
-                    ):
-                        continue
-                    pf.done = True
-                    flush, added, members = edges.coalesce(
-                        pf, t, where, moved, room, park_room
+                if max_steps is not None and t > max_steps:
+                    raise self._stalled(
+                        f"{self.label} exceeded max_steps={max_steps}",
+                        t, engine, targets,
                     )
-                    park += added
-                    msgs = flush.messages
-                    finished += 1 + len(members)
-                    coalesced += len(members)
-                    ran.append(flush)
-                    moved.update(msgs)
-                    schedule.add(t, flush)
-                    if src != root and not is_leaf[src]:
-                        departed[src] = departed.get(src, 0) + flush.size
-                    if not is_leaf[dest]:
-                        arrived[dest] = arrived.get(dest, 0) + park
-                    for m in msgs:
-                        location[m] = dest
-                if not ran:
+                engine.step(t, journal)
+                if not engine.attempted:
+                    if not engine.idle_streak:
+                        # The engine's deadlock probe stayed quiet, so a
+                        # flush that could run is held by a stall window
+                        # or backoff: time genuinely passes; the realized
+                        # schedule gets an idle step.  Bounded because
+                        # windows and backoffs are finite (max_steps
+                        # backstops pathologies).
+                        stats.wait_steps += 1
+                        idle = 0
+                        continue
+                    # Nothing could run: roll the step counter back (an
+                    # idle step would inflate costs) and retry; a streak
+                    # of these is a deadlock.
+                    t -= 1
                     idle += 1
                     if idle > MAX_IDLE_STEPS:
-                        raise stalled_error(
-                            "gated executor deadlocked (flush list is not "
-                            "laminar?)",
-                            step=t,
-                            instance=inst,
-                            location=location,
-                            pending_flushes=[
-                                pf.flush for pf in pending if not pf.done
-                            ],
+                        self._replan_or_raise(
+                            engine, t, targets, replans,
+                            "deadlocked (flush list is not laminar?)",
                         )
-                    # Nothing ran: roll the step counter back (an idle step
-                    # would inflate costs) and retry; the idle counter above
-                    # turns a genuine no-progress state into an error.
-                    t -= 1
+                        replans += 1
+                        idle = 0
                     continue
                 idle = 0
-                for v, d in departed.items():
-                    occupancy[v] -= d
-                for v, a in arrived.items():
-                    occupancy[v] += a
-                n_pending -= finished
                 if journal is not None:
-                    for flush in ran:
-                        journal.record_flush(t, flush)
-                    journal.end_step(t, location)
-                if n_pending and len(pending) > 2 * n_pending:
-                    pending = [pf for pf in pending if not pf.done]
+                    journal.end_step(t)
+                if engine.budget_exhausted and engine.pending_flushes:
+                    self._replan_or_raise(
+                        engine, t, targets, replans, "retry budget exhausted"
+                    )
+                    replans += 1
         except ExecutionStalledError:
             if journal is not None:
                 journal.abort()
             span.set("stalled", True)
             span.finish()
             raise
-        schedule = schedule.trim()
+        finally:
+            engine_stats = engine.stats
+            for name in _ENGINE_COUNTERS:
+                setattr(stats, name,
+                        getattr(stats, name) + getattr(engine_stats, name))
+        schedule = engine.schedule.trim()
         if journal is not None:
-            journal.finish(schedule.n_steps, location)
+            journal.finish(schedule.n_steps)
         if obs.enabled:
             obs.profiler.add(PHASE_EXECUTE, obs.profiler.clock() - t_wall)
             span.set_steps(1, schedule.n_steps)
-            record_run_metrics(obs.metrics, schedule, coalesced)
+            record_run_metrics(obs.metrics, schedule, engine_stats.coalesced)
         span.finish()
         return schedule
+
+    # ------------------------------------------------------------------
+    def _replan_or_raise(
+        self, engine, t: int, targets: "list[int]", replans: int, reason: str
+    ) -> None:
+        """Re-plan the surviving messages, or raise if out of options."""
+        if replans >= self.max_replans:
+            raise self._stalled(
+                f"{self.label} stalled ({reason}; "
+                f"{replans} replan(s) already used)",
+                t, engine, targets,
+            )
+        location = all_locations(engine, targets)
+        remaining = [
+            m for m in range(self.instance.n_messages)
+            if location[m] != targets[m]
+        ]
+        obs = current_obs()
+        with obs.tracer.span(
+            "executor.replan", category="executor",
+            reason=reason, remaining=len(remaining), step=t,
+        ):
+            try:
+                new_flushes = self.replanner(
+                    self.instance, remaining, location
+                )
+            except ReproError as exc:
+                raise self._stalled(
+                    f"{self.label} stalled ({reason}; "
+                    f"replan failed: {exc})",
+                    t, engine, targets,
+                ) from exc
+        if not new_flushes and remaining:
+            raise self._stalled(
+                f"{self.label} stalled ({reason}; replanner returned "
+                "no flushes for surviving messages)",
+                t, engine, targets,
+            )
+        self.stats.replans += 1
+        engine.set_plan(new_flushes)
+
+    def _stalled(
+        self, header: str, t: int, engine, targets: "list[int]"
+    ) -> ExecutionStalledError:
+        return stalled_error(
+            header,
+            step=t,
+            instance=self.instance,
+            location=all_locations(engine, targets),
+            pending_flushes=[pf.flush for pf in engine.pending if not pf.done],
+        )

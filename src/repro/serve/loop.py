@@ -109,7 +109,6 @@ class ServeConfig:
     fault_rate: float = 0.0
     fault_seed: int = 0
     fault_aware: bool = False
-    retry_budget: int = 5
     seed: int = 0
     checkpoint_every: int = 32
     max_steps: int = 0  # 0 = derived
@@ -319,7 +318,7 @@ def build_shard_engine(config: "ServeConfig", spec) -> ShardEngine:
     return ShardEngine(
         spec.shard_id, spec.topology, config.P, config.B,
         injector=injector, fault_aware=config.fault_aware,
-        retry_budget=config.retry_budget, pace=config.pace,
+        pace=config.pace,
     )
 
 

@@ -8,20 +8,22 @@ messages per node/flush): the model of one storage device per shard.
 mapping; :class:`ShardEngine` owns one shard's live machine state and
 executes its pending flush list one time step at a time.
 
-:meth:`ShardEngine.step` is the *stepwise* form of the admission gate in
-:class:`repro.policies.executor.GatedExecutor` (same readiness /
-admissibility rules, same priority scan, same coalescing of ready
-same-edge flushes, so a single-shard run with one up-front plan realizes
-the identical schedule — the equivalence property
-``tests/serve/test_equivalence.py`` pins).  On top of that it carries the
-fault semantics of :class:`~repro.policies.resilient.ResilientExecutor`:
-failed/partial flushes retry with exponential backoff, stalled nodes are
-skipped, and with ``fault_aware=True`` degraded capacity is triaged
-toward completion flushes first.  Only a ready, admissible flush held
-by a backoff or stall window counts as waiting, so faults never hide a
-deadlock from the loop's forced re-plan.  Unlike the batch executors, a
-serving engine never rolls time back: an idle step is a real step of
-wall-clock in a service (arrivals may land during it).
+:meth:`ShardEngine.step` is the repository's one admission gate: the
+readiness / admissibility rules, priority scan and coalescing of ready
+same-edge flushes described in :mod:`repro.policies.executor`.  The
+batch executors (:class:`~repro.policies.executor.GatedExecutor`,
+:class:`~repro.policies.resilient.ResilientExecutor`) are a drain loop
+around a one-shard engine, so a single-shard serving run with one
+up-front plan realizes their schedule exactly — the equivalence
+``tests/serve/test_equivalence.py`` pins.  It carries the fault
+semantics too: failed/partial flushes retry with exponential backoff,
+stalled nodes are skipped, and with ``fault_aware=True`` degraded
+capacity is triaged toward completion flushes first.  Only a ready,
+admissible flush held by a backoff or stall window counts as waiting,
+so faults never hide a deadlock from a forced re-plan.  The engine never
+rolls time back: an idle step is a real step of wall-clock in a service
+(arrivals may land during it); the batch drain loop rolls back idle
+steps itself.
 
 Coalescing (rule in :mod:`repro.policies.executor`) also merges across
 epochs: flushes appended by an incremental plan join the in-flight
@@ -134,6 +136,12 @@ class ShardEngine:
         self._stall_until: dict[int, int] = {}
         #: consecutive steps with ready work but no progress (deadlock probe).
         self.idle_streak = 0
+        #: live count of pending flushes not yet done.
+        self._open = 0
+        #: IOs the last :meth:`step` attempted, whatever their outcome.
+        self.attempted = 0
+        #: whether some flush of the last step reached ``retry_budget``.
+        self.budget_exhausted = False
 
     # ------------------------------------------------------------------
     @property
@@ -144,7 +152,7 @@ class ShardEngine:
     @property
     def pending_flushes(self) -> int:
         """Planned flushes not yet fully executed."""
-        return sum(1 for pf in self.pending if not pf.done)
+        return self._open
 
     def unplanned(self, planned: "set[int]") -> "list[int]":
         """In-flight ids not covered by ``planned`` (helper for planners)."""
@@ -201,6 +209,7 @@ class ShardEngine:
         self.targets = {}
         self.occupancy = [0] * self.topology.n_nodes
         self.pending = []
+        self._open = 0
         self._edges = EdgeQueues()
         self.root_backlog = 0
         self._stall_until = {}
@@ -238,6 +247,7 @@ class ShardEngine:
         self.occupancy = occupancy
         self.root_backlog = backlog
         self.pending = []
+        self._open = 0
         self._edges = EdgeQueues()
         self._stall_until = {}
         self.idle_streak = 0
@@ -247,12 +257,14 @@ class ShardEngine:
     def set_plan(self, flushes: "list[Flush]") -> None:
         """Replace the pending priority list (epoch full re-plan)."""
         self.pending = as_pending(flushes, self.targets.get)
+        self._open = len(self.pending)
         self._edges = EdgeQueues(self.pending)
 
     def append_plan(self, flushes: "list[Flush]") -> None:
         """Append flushes at the tail of the priority list (incremental)."""
         added = as_pending(flushes, self.targets.get)
         self.pending.extend(added)
+        self._open += len(added)
         self._edges.extend(added)
 
     # ------------------------------------------------------------------
@@ -260,10 +272,14 @@ class ShardEngine:
         """Run one DAM time step; returns ``(msg_id, step)`` completions.
 
         Executes up to ``P`` ready-and-admissible pending flushes in
-        priority order under the same gate as the batch executors,
-        coalescing same-edge flushes the same way; with an injector,
+        priority order, coalescing ready same-edge flushes into each
+        (see :mod:`repro.policies.executor`); with an injector,
         failed/partial outcomes retry with backoff.  ``journal`` (if
-        given) receives shard-tagged flush/fault records.
+        given) receives shard-tagged flush/fault records in scan order.
+        Afterwards :attr:`attempted` counts the IOs tried and
+        :attr:`budget_exhausted` says whether one of them brought a flush
+        to ``retry_budget`` attempts: the batch drain loop's idle and
+        re-plan signals.
         """
         is_leaf = self._is_leaf
         root = self._root
@@ -271,13 +287,17 @@ class ShardEngine:
         targets = self.targets
         occupancy = self.occupancy
         injector = self.injector
+        fault_aware = self.fault_aware
+        stall_until = self._stall_until
         stats = self.stats
+        schedule = self.schedule
+        coalesce = self._edges.coalesce
         where = location.get
         B = self.B
         capacity = (
             self.P if injector is None else injector.effective_p(t, self.P)
         )
-        if self.fault_aware and capacity < self.P:
+        if fault_aware and capacity < self.P:
             stats.degraded_triage_steps += 1
             passes: "tuple[bool | None, ...]" = (True, False)
         else:
@@ -286,6 +306,8 @@ class ShardEngine:
         completions: "list[tuple[int, int]]" = []
         ran = 0
         attempted = 0
+        exhausted = False
+        settled = 0
         work_done = 0
         waiting = False
         paced_out = False
@@ -308,17 +330,20 @@ class ShardEngine:
                     waiting = True
                     paced_out = True
                     break
-                if completions_only is True and pf.parking > 0:
-                    continue
-                if completions_only is False and pf.parking == 0:
-                    continue
+                if (
+                    completions_only is not None
+                    and (pf.parking > 0) is completions_only
+                ):
+                    continue  # not this triage pass's kind of flush
                 flush = pf.flush
                 src = flush.src
-                dest = flush.dest
                 full = flush.messages
-                if location.get(full[0]) != src:
+                if where(full[0]) != src:
                     continue  # O(1) reject: first message not here yet
+                dest = flush.dest
                 msgs = full
+                # Messages completing at dest (a leaf, or their internal
+                # target under the footnote-3 extension) never park.
                 park = pf.parking
                 room = B
                 if pace:
@@ -344,17 +369,22 @@ class ShardEngine:
                     if projected > B:
                         continue
                     park_room = B - projected
-                if any(location.get(m) != src or m in moved for m in full):
+                # Ready: every message at src, none moved this step.
+                if (
+                    [*map(where, full)].count(src) != len(full)
+                    or not moved.isdisjoint(full)
+                ):
                     continue
                 # Runnable but for faults: a backoff or a stall window
                 # holds it, which is waiting, not a deadlock.
                 if pf.eligible_at > t:
                     waiting = True
                     continue
-                if self.fault_aware and (
-                    self._stall_until.get(src, 0) >= t
-                    or self._stall_until.get(dest, 0) >= t
+                if fault_aware and (
+                    stall_until.get(src, 0) >= t
+                    or stall_until.get(dest, 0) >= t
                 ):
+                    # Known-stalled window: park without probing.
                     stats.fault_aware_skips += 1
                     waiting = True
                     continue
@@ -362,21 +392,22 @@ class ShardEngine:
                     injector.is_stalled(t, src) or injector.is_stalled(t, dest)
                 ):
                     stats.stalled_skips += 1
-                    if self.fault_aware:
+                    if fault_aware:
                         for node in (src, dest):
                             end = injector.stall_window_end(t, node)
-                            if end is not None and end > self._stall_until.get(
+                            if end is not None and end > stall_until.get(
                                 node, 0
                             ):
-                                self._stall_until[node] = end
+                                stall_until[node] = end
                     waiting = True
                     continue
+                # Selected: the IO is attempted and the slot is consumed
+                # whatever the outcome.
                 attempted += 1
-                flush, _added, members = self._edges.coalesce(
+                flush, members = coalesce(
                     pf, t, where, moved, room, park_room,
                     completions_only is True,
                 )
-                group = [pf, *members]
                 if members:
                     # Merged members are whole, so the lead is too.
                     stats.coalesced += len(members)
@@ -390,29 +421,35 @@ class ShardEngine:
                     )
                 if status == OUTCOME_FAILED:
                     stats.failed_attempts += 1
+                    group = [pf, *members]
                     for g in group:
                         back_off(g, t)
+                    attempt = max(g.attempts for g in group)
+                    exhausted |= attempt >= self.retry_budget
                     if journal is not None:
                         journal.record_fault(
                             t, self.shard_id, "failed_flush", src, dest,
-                            f"{len(msgs)} msgs no-oped "
-                            f"(attempt {max(g.attempts for g in group)})",
+                            f"{len(msgs)} msgs no-oped (attempt {attempt})",
                         )
                     continue
                 if status == OUTCOME_PARTIAL:
                     stats.partial_deliveries += 1
                     # Each merged flush (a paced lead: its whole
                     # obligation) keeps its own remainder and backoff.
-                    settle_partial(group, delivered, targets, t)
+                    group = [pf, *members]
+                    settled += len(settle_partial(group, delivered, targets, t))
+                    attempt = max(g.attempts for g in group)
+                    exhausted |= attempt >= self.retry_budget
                     if journal is not None:
                         journal.record_fault(
                             t, self.shard_id, "partial_flush", src, dest,
                             f"delivered {len(delivered)}/{len(msgs)} msgs "
-                            f"(attempt {max(g.attempts for g in group)})",
+                            f"(attempt {attempt})",
                         )
                     flush = Flush(src, dest, delivered)
                 elif msgs is full:
                     pf.done = True
+                    settled += 1 + len(members)
                 else:
                     # Clean paced split: the untouched suffix becomes the
                     # pending obligation, immediately eligible, retry
@@ -426,35 +463,38 @@ class ShardEngine:
                     flush = Flush(src, dest, delivered)
                 ran += 1
                 work_done += len(delivered)
-                self.schedule.add(t, flush)
+                schedule.add(t, flush)
                 stats.flushes += 1
                 moved.update(delivered)
                 if journal is not None:
                     journal.record_flush(t, self.shard_id, flush)
-                delivered_parking = sum(
-                    1 for m in delivered if targets[m] != dest
-                )
-                if src != root and not is_leaf[src]:
-                    departed[src] = departed.get(src, 0) + len(delivered)
-                elif src == root:
-                    self.root_backlog -= len(delivered)
-                if not is_leaf[dest]:
-                    arrived[dest] = arrived.get(dest, 0) + delivered_parking
+                before = len(completions)
                 for m in delivered:
                     if targets[m] == dest:
                         completions.append((m, t))
                         del location[m]
                         del targets[m]
-                        stats.completed += 1
                     else:
                         location[m] = dest
+                completed = len(completions) - before
+                stats.completed += completed
+                delivered_parking = len(delivered) - completed
+                if src == root:
+                    self.root_backlog -= len(delivered)
+                elif not is_leaf[src]:
+                    departed[src] = departed.get(src, 0) + len(delivered)
+                if not is_leaf[dest]:
+                    arrived[dest] = arrived.get(dest, 0) + delivered_parking
         for v, d in departed.items():
             occupancy[v] -= d
         for v, a in arrived.items():
             occupancy[v] += a
-        n_pending = self.pending_flushes
+        self._open -= settled
+        n_pending = self._open
         if n_pending and len(self.pending) > 2 * n_pending:
             self.pending = [pf for pf in self.pending if not pf.done]
+        self.attempted = attempted
+        self.budget_exhausted = exhausted
         if ran:
             stats.busy_steps += 1
             self.idle_streak = 0

@@ -78,11 +78,10 @@ def probe(edges, lead, *args, **kw):
 
     Re-opening them keeps successive probes of one queue independent.
     """
-    flush, parking, members = edges.coalesce(lead, *args, **kw)
+    flush, members = edges.coalesce(lead, *args, **kw)
     assert all(pf.done for pf in members)
     assert flush.messages == lead.flush.messages + sum(
         (pf.flush.messages for pf in members), ())
-    assert parking == sum(pf.parking for pf in members)
     for pf in members:
         pf.done = False
     return members
@@ -207,8 +206,8 @@ def test_coalesce_returns_one_io_and_consumes_its_members():
         Flush(0, 1, (0,)), Flush(0, 1, (1,)), Flush(0, 1, (2,)),
     ], targets)
     where = [0, 0, 0].__getitem__
-    flush, parking, members = edges.coalesce(pending[0], 1, where, set(), 8, 8)
-    assert flush == Flush(0, 1, (0, 1, 2)) and parking == 0
+    flush, members = edges.coalesce(pending[0], 1, where, set(), 8, 8)
+    assert flush == Flush(0, 1, (0, 1, 2))
     assert members == pending[1:] and all(pf.done for pf in members)
     assert not pending[0].done  # the lead is the caller's to settle
     # A failed IO re-opens every member with its own backoff.
@@ -216,7 +215,7 @@ def test_coalesce_returns_one_io_and_consumes_its_members():
     assert not pending[1].done and pending[1].eligible_at == 3
     # Without room, nothing merges and the lead's flush is the IO.
     assert edges.coalesce(pending[0], 1, where, set(), 0, 0) \
-        == (pending[0].flush, 0, [])
+        == (pending[0].flush, [])
 
 
 # ----------------------------------------------------------------------
@@ -417,12 +416,65 @@ def test_paper_plans_never_deadlock_the_gates(seed):
     for ordered in (raw, solved):
         gated = GatedExecutor(inst).run(list(ordered))
         check_realized(inst, gated)
-        for scan in ("scalar", "vector"):
-            assert ResilientExecutor(inst, scan=scan).run(
-                list(ordered)).steps == gated.steps
+        assert ResilientExecutor(inst).run(list(ordered)).steps \
+            == gated.steps
         engine = run_engine(inst.topology, inst.P, inst.B, ordered,
                             inst.targets.tolist())
         assert engine.schedule.steps == gated.steps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_worms_plan_identical_on_every_gate(seed):
+    """The merged ``WormsPolicy`` schedule, fed back as a priority list,
+    realizes the same steps on both batch executors and on a stepped
+    single-shard serving engine."""
+    inst = make_uniform(balanced_tree(3, 3), n_messages=200, P=3, B=16,
+                        seed=seed)
+    ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
+    gated = GatedExecutor(inst).run(list(ordered))
+    check_realized(inst, gated)
+    assert ResilientExecutor(inst).run(list(ordered)).steps == gated.steps
+    engine = run_engine(inst.topology, inst.P, inst.B, ordered,
+                        inst.targets.tolist())
+    assert engine.schedule.steps == gated.steps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_raw_order_coalesces_identically_on_every_gate(seed):
+    """``WormsPolicy`` returns an already-merged schedule, so feeding it
+    back leaves nothing to merge; the raw Lemma 8 order does not.  Both
+    batch executors and a single-shard serving engine stepped without
+    the drain loop's rollback must merge it identically."""
+    inst = make_uniform(balanced_tree(3, 3), n_messages=200, P=3, B=16,
+                        seed=seed)
+    ordered = mphtf_order(inst)
+    resilient = ResilientExecutor(inst)
+    steps = resilient.run(list(ordered)).steps
+    assert GatedExecutor(inst).run(list(ordered)).steps == steps
+    engine = run_engine(inst.topology, inst.P, inst.B, ordered,
+                        inst.targets.tolist())
+    assert engine.schedule.steps == steps
+    assert resilient.stats.coalesced > 0
+    assert engine.stats.coalesced == resilient.stats.coalesced
+    assert sum(len(step) for step in steps) < len(ordered)
+
+
+@pytest.mark.parametrize("topo, n, P, B, seed", [
+    # Enough flushes that the lazy pending-list compaction triggers.
+    (balanced_tree(2, 4), 400, 2, 8, 13),
+    # Deep path tree: front-blocked rejects dominate the scan.
+    (path_tree(5), 80, 1, 8, 9),
+], ids=["balanced", "deep-path"])
+def test_gates_identical_through_pending_compaction(topo, n, P, B, seed):
+    inst = make_uniform(topo, n_messages=n, P=P, B=B, seed=seed)
+    ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
+    gated = GatedExecutor(inst).run(list(ordered))
+    check_realized(inst, gated)
+    assert ResilientExecutor(inst).run(list(ordered)).steps == gated.steps
+    engine = run_engine(topo, P, B, ordered, inst.targets.tolist())
+    assert engine.schedule.steps == gated.steps
+    assert engine.pending_flushes == 0
+    assert len(engine.pending) < len(ordered)  # compacted on the way
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -123,6 +123,24 @@ def test_nonlaminar_list_recovers_via_replan():
     assert executor.stats.replans == 1
 
 
+def test_replan_after_progress_completes_every_message():
+    """Dropping one root flush strands its messages mid-run: the drain
+    deadlocks after real progress, re-plans the survivors from their
+    current nodes and finishes."""
+    inst = make_uniform(balanced_tree(3, 3), n_messages=200, P=3, B=16,
+                        seed=1)
+    ordered = ordered_flushes(WormsPolicy().schedule(inst))
+    root = inst.topology.root
+    first_root = next(i for i, f in enumerate(ordered) if f.src == root)
+    bad = ordered[:first_root] + ordered[first_root + 1:]
+    with pytest.raises(ExecutionStalledError, match="deadlock"):
+        GatedExecutor(inst).run(list(bad))
+    executor = ResilientExecutor(inst, max_replans=1)
+    res = validate_valid(inst, executor.run(list(bad)))
+    assert (res.completion_times > 0).all()
+    assert executor.stats.replans == 1
+
+
 def test_replan_exhaustion_raises_diagnosable_error():
     topo = path_tree(2)
     inst = WORMSInstance(topo, [Message(0, 2)], P=1, B=4)

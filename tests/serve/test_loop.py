@@ -111,6 +111,10 @@ def test_config_meta_round_trip():
                       messages=2, shards=2, seed=77, fault_rate=0.1)
     again = ServeConfig.from_meta(cfg.to_meta())
     assert again == cfg
+    # Journals written while serve still had a retry_budget knob load.
+    assert "retry_budget" not in cfg.to_meta()
+    old = {**cfg.to_meta(), "retry_budget": 6}
+    assert ServeConfig.from_meta(old) == cfg
 
 
 def test_config_validation():
