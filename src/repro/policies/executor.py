@@ -28,13 +28,19 @@ journal gets its checkpoints.
 **Coalescing.**  The DAM model lets one IO move up to ``B`` messages
 along an edge, but a priority list usually holds several small flushes
 on the same edge.  When the gate selects a flush ``src -> dest`` it
-folds in every *later* pending flush on the same edge that is eligible
-and fully ready this step, in priority order, passing over any whose
-messages would push the merged flush past ``B`` or ``dest``'s projected
-parked count past ``B``.  The merged members are consumed and
-the realized flush carries their union: one IO, one of the step's ``P``
-slots.  :class:`EdgeQueues` keeps the pending flushes grouped per edge in
-priority order, so the lookup costs O(pending on that edge).
+folds in *later* pending flushes on the same edge that are eligible and
+fully ready this step, passing over any whose messages would push the
+merged flush past ``B`` or ``dest``'s projected parked count past
+``B``.  Members whose parked messages all continue to the same child of
+``dest`` as the lead's (the same :attr:`PendingFlush.next_hop`) are
+taken first, so messages that will cross the next edge together ride
+down in one IO and can again share one there; the room left is filled
+first-fit in priority order, which is the whole rule when the lead's
+messages split across children or all complete at ``dest``.  The merged
+members are consumed and the realized flush carries their union: one
+IO, one of the step's ``P`` slots.  :class:`EdgeQueues` keeps the
+pending flushes grouped per edge in priority order, so the lookup costs
+O(pending on that edge).
 
 For laminar flush lists (every flush's messages arrived at its source in
 a single earlier flush — which is exactly what the packed-set reduction
@@ -63,7 +69,8 @@ pending flush each step.  Four observations keep that tractable at
 millions of messages without changing a single decision: a flush whose
 *first* message is elsewhere cannot be ready (O(1) reject covers the
 common front-blocked case); how many of a flush's messages will *park*
-at its destination is a static property, precomputed once, so the O(1)
+at its destination, and where they go next, are static properties,
+precomputed once (:func:`parking_and_hop`), so the O(1)
 admission test runs before the O(size) readiness check (coalesced
 flushes fill destinations to ``B``, leaving many ready flushes blocked
 on space); and consumed flushes are flagged and compacted away lazily
@@ -105,20 +112,56 @@ class PendingFlush:
     flush: Flush
     #: messages that do not complete at dest (static admission cost).
     parking: int = 0
+    #: the one child of dest that every parked message continues to;
+    #: -1 when they split across children or nothing parks.  Set from
+    #: the planned flush and from a fault's remainder.  A paced split's
+    #: suffix keeps its obligation's, which may then be stale (the
+    #: suffix may park nothing, or all continue to one child of a split
+    #: obligation): the field only orders the members a merge takes
+    #: first, and every member still passes each screen, so a stale hint
+    #: never admits a flush the gate would refuse.
+    next_hop: int = -1
     attempts: int = 0
     eligible_at: int = 0  # earliest step this flush may be attempted again
     done: bool = False
 
 
-def as_pending(flushes: "list[Flush]", target_of) -> "list[PendingFlush]":
+def parking_and_hop(
+    dest: int, messages: "tuple[int, ...]", target_of, topology
+) -> "tuple[int, int]":
+    """``(parking, next_hop)`` of ``messages`` flushed into ``dest``.
+
+    ``parking`` counts the messages whose target is not ``dest``;
+    ``next_hop`` is the one child of ``dest`` on the path to all of their
+    targets (:meth:`~repro.tree.TreeTopology.child_towards`), or -1 when
+    they split across children or nothing parks (a leaf ``dest`` parks
+    nothing).
+    """
+    targets = [*map(target_of, messages)]
+    parking = len(targets) - targets.count(dest)
+    if not parking:
+        return 0, -1
+    hop = -1
+    for target in set(targets):
+        if target != dest:
+            child = topology.child_towards(dest, target)
+            if child != hop:
+                if hop >= 0:
+                    return parking, -1  # split across children
+                hop = child
+    return parking, hop
+
+
+def as_pending(
+    flushes: "list[Flush]", target_of, topology
+) -> "list[PendingFlush]":
     """Wrap ``flushes`` for the gate; ``target_of(m)`` is m's target node.
 
-    A flush's parking is its messages whose target is not ``dest``.
+    Each flush's parking and next hop come from :func:`parking_and_hop`.
     """
     return [
-        PendingFlush(
-            f, len(f.messages) - [*map(target_of, f.messages)].count(f.dest)
-        )
+        PendingFlush(f, *parking_and_hop(f.dest, f.messages, target_of,
+                                         topology))
         for f in flushes
     ]
 
@@ -164,16 +207,18 @@ class EdgeQueues:
         A member must be eligible (``eligible_at <= t``) and fully ready
         (every message at ``src`` per ``where(m)``, none moved this step
         or already in the merged flush); with ``completions_only`` it must
-        also park nothing.  Members are taken first-fit in priority
-        order: one that would bring the merge past ``size_room`` more
-        messages or ``park_room`` more parked messages at ``dest`` is
-        passed over.
+        also park nothing.  A member that would bring the merge past
+        ``size_room`` more messages or ``park_room`` more parked messages
+        at ``dest`` is passed over.  When ``lead`` has a next hop, members
+        with the same next hop are taken first, so messages that cross
+        the next edge together also share this IO; the room left is then
+        filled first-fit in priority order, which is the whole rule for a
+        lead without one.
 
         Returns ``(flush, members)``: the single IO carrying ``lead``
         plus its members, and the members themselves, already marked
-        done.  A
-        caller whose IO fails or partially applies re-opens them with
-        :func:`back_off` / :func:`settle_partial`; the lead is the
+        done.  A caller whose IO fails or partially applies re-opens them
+        with :func:`back_off` / :func:`settle_partial`; the lead is the
         caller's to settle.
         """
         flush = lead.flush
@@ -188,35 +233,44 @@ class EdgeQueues:
         if head:
             del queue[:head]
             at -= head
+        hop = lead.next_hop
         members: "list[PendingFlush]" = []
         taken = None
-        for i in range(at + 1, len(queue)):
-            pf = queue[i]
-            if pf.done or pf.eligible_at > t:
-                continue
-            park = pf.parking
-            if park > park_room or (completions_only and park):
-                continue
-            msgs = pf.flush.messages
-            if len(msgs) > size_room:
-                continue  # would overflow: a smaller later one may fit
-            if where(msgs[0]) != src:
-                continue
-            if taken is None:
-                taken = set(flush.messages)
-            if (
-                [*map(where, msgs)].count(src) != len(msgs)
-                or not moved.isdisjoint(msgs)
-                or not taken.isdisjoint(msgs)
-            ):
-                continue
-            size_room -= len(msgs)
-            park_room -= park
-            pf.done = True
-            members.append(pf)
+        # With a next hop, pass 1 screens the members that share it and
+        # pass 2 the rest, so each member is screened once: the room only
+        # shrinks as members join, so a pass-1 reject stays rejected.
+        for same_hop in (True, False) if hop >= 0 else (None,):
+            for i in range(at + 1, len(queue)):
+                pf = queue[i]
+                if pf.done or pf.eligible_at > t:
+                    continue
+                if same_hop is not None and (pf.next_hop == hop) != same_hop:
+                    continue
+                park = pf.parking
+                if park > park_room or (completions_only and park):
+                    continue
+                msgs = pf.flush.messages
+                if len(msgs) > size_room:
+                    continue  # would overflow: a smaller later one may fit
+                if where(msgs[0]) != src:
+                    continue
+                if taken is None:
+                    taken = set(flush.messages)
+                if (
+                    [*map(where, msgs)].count(src) != len(msgs)
+                    or not moved.isdisjoint(msgs)
+                    or not taken.isdisjoint(msgs)
+                ):
+                    continue
+                size_room -= len(msgs)
+                park_room -= park
+                pf.done = True
+                members.append(pf)
+                if not size_room:
+                    break
+                taken.update(msgs)
             if not size_room:
                 break
-            taken.update(msgs)
         if not members:
             return flush, members
         msgs = flush.messages
@@ -236,14 +290,15 @@ def back_off(pf: PendingFlush, t: int) -> None:
 
 
 def settle_partial(
-    group: "list[PendingFlush]", delivered: "tuple[int, ...]", targets,
-    t: int,
+    group: "list[PendingFlush]", delivered: "tuple[int, ...]", target_of,
+    topology, t: int,
 ) -> "list[PendingFlush]":
     """Apply a partial outcome to every flush merged into one IO.
 
     A flush whose messages were all delivered is done; every other one
-    keeps its undelivered remainder at its own priority slot and backs
-    off on its own.  Returns the flushes that are done.
+    keeps its undelivered remainder at its own priority slot, with the
+    remainder's parking and next hop, and backs off on its own.  Returns
+    the flushes that are done.
     """
     got = set(delivered)
     finished = []
@@ -256,7 +311,9 @@ def settle_partial(
             continue
         dest = flush.dest
         pf.flush = Flush(flush.src, dest, remainder)
-        pf.parking = sum(1 for m in remainder if targets[m] != dest)
+        pf.parking, pf.next_hop = parking_and_hop(
+            dest, remainder, target_of, topology
+        )
         back_off(pf, t)
     return finished
 

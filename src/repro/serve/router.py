@@ -25,11 +25,16 @@ rolls time back: an idle step is a real step of wall-clock in a service
 (arrivals may land during it); the batch drain loop rolls back idle
 steps itself.
 
-Coalescing (rule in :mod:`repro.policies.executor`) also merges across
+Coalescing (rule in :mod:`repro.policies.executor`: same-next-hop
+members first, then first-fit in priority order) also merges across
 epochs: flushes appended by an incremental plan join the in-flight
 list's per-edge queues, so a fresh root flush can ride along with an
-older one on the same edge.  Only whole ready flushes merge, so the
-union arrives at ``dest`` together and the plan stays laminar.  A merged
+older one on the same edge.  Each planned flush and each fault
+remainder gets its next hop from the tree
+(:meth:`~repro.tree.TreeTopology.child_towards`); a paced split's suffix
+keeps its obligation's, a hint that orders merges but admits nothing.
+Only whole ready flushes merge, so the union arrives at ``dest``
+together and the plan stays laminar.  A merged
 flush is one IO with one fault outcome, settled per member (own
 attempts, backoff and remainder), and under ``pace`` its messages spend
 the step budget like any delivered message; a paced split's prefix
@@ -256,13 +261,13 @@ class ShardEngine:
 
     def set_plan(self, flushes: "list[Flush]") -> None:
         """Replace the pending priority list (epoch full re-plan)."""
-        self.pending = as_pending(flushes, self.targets.get)
+        self.pending = as_pending(flushes, self.targets.get, self.topology)
         self._open = len(self.pending)
         self._edges = EdgeQueues(self.pending)
 
     def append_plan(self, flushes: "list[Flush]") -> None:
         """Append flushes at the tail of the priority list (incremental)."""
-        added = as_pending(flushes, self.targets.get)
+        added = as_pending(flushes, self.targets.get, self.topology)
         self.pending.extend(added)
         self._open += len(added)
         self._edges.extend(added)
@@ -437,7 +442,9 @@ class ShardEngine:
                     # Each merged flush (a paced lead: its whole
                     # obligation) keeps its own remainder and backoff.
                     group = [pf, *members]
-                    settled += len(settle_partial(group, delivered, targets, t))
+                    settled += len(settle_partial(
+                        group, delivered, targets.get, self.topology, t
+                    ))
                     attempt = max(g.attempts for g in group)
                     exhausted |= attempt >= self.retry_budget
                     if journal is not None:
@@ -453,7 +460,8 @@ class ShardEngine:
                 else:
                     # Clean paced split: the untouched suffix becomes the
                     # pending obligation, immediately eligible, retry
-                    # history preserved.
+                    # history and planned next hop (a merge-order hint)
+                    # preserved.
                     suffix = full[len(msgs):]
                     pf.flush = Flush(src, dest, suffix)
                     pf.parking = sum(

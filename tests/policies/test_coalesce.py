@@ -2,8 +2,9 @@
 
 When a gate selects a flush ``src -> dest`` it folds in later pending
 flushes on the same edge that are eligible and fully ready this step,
-first-fit in priority order, within ``B`` messages and ``dest``'s space
-bound.  Under test: the merge bounds, which members may join, per-member
+within ``B`` messages and ``dest``'s space bound: first those sharing
+the lead's next hop, then the rest first-fit in priority order.  Under
+test: the merge bounds, which members may join, the merge order, per-member
 fault bookkeeping (one injector outcome, each member's own retry,
 backoff and remainder), the completion-only triage pass, the pacing
 budget, and — over random trees and instances — that the paper's plans
@@ -26,11 +27,18 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.injector import OUTCOME_FAILED, OUTCOME_OK, OUTCOME_PARTIAL
 from repro.obs import observed
 from repro.policies import GatedExecutor, ResilientExecutor, WormsPolicy
-from repro.policies.executor import EdgeQueues, as_pending, back_off
+from repro.policies.executor import (
+    EdgeQueues,
+    as_pending,
+    back_off,
+    parking_and_hop,
+    settle_partial,
+)
 from repro.scheduling.mphtf import mphtf_schedule
 from repro.serve import ServeConfig, ServiceLoop
 from repro.serve.router import ShardEngine
 from repro.tree import Message, balanced_tree, beps_shape_tree, path_tree
+from repro.workloads import uniform_instance
 from tests.conftest import make_uniform
 
 
@@ -68,8 +76,9 @@ class ScriptedInjector:
         return OUTCOME_PARTIAL, tuple(m for m in msgs if m in outcome)
 
 
-def edge_queue(flushes, targets):
-    pending = as_pending(flushes, targets.__getitem__)
+def edge_queue(flushes, targets, topo=path_tree(2)):
+    """Pending flushes and their queues; node 1 is internal by default."""
+    pending = as_pending(flushes, targets.__getitem__, topo)
     return pending, EdgeQueues(pending)
 
 
@@ -80,8 +89,8 @@ def probe(edges, lead, *args, **kw):
     """
     flush, members = edges.coalesce(lead, *args, **kw)
     assert all(pf.done for pf in members)
-    assert flush.messages == lead.flush.messages + sum(
-        (pf.flush.messages for pf in members), ())
+    assert flush.messages == tuple(sorted(lead.flush.messages + sum(
+        (pf.flush.messages for pf in members), ())))
     for pf in members:
         pf.done = False
     return members
@@ -216,6 +225,103 @@ def test_coalesce_returns_one_io_and_consumes_its_members():
     # Without room, nothing merges and the lead's flush is the IO.
     assert edges.coalesce(pending[0], 1, where, set(), 0, 0) \
         == (pending[0].flush, [])
+
+
+# ----------------------------------------------------------------------
+# Next hops: members bound for the lead's next edge go first
+# ----------------------------------------------------------------------
+
+def test_next_hop_names_the_one_child_every_parked_message_takes():
+    topo = balanced_tree(2, 3)  # 1 -> {3, 4}; 3 -> {7, 8}; 4 -> {9, 10}
+    targets = [7, 8, 9, 1, 3, 7]
+    hop = lambda dest, msgs: parking_and_hop(  # noqa: E731
+        dest, msgs, targets.__getitem__, topo)
+    assert hop(1, (0, 1)) == (2, 3)  # leaves 7 and 8 both lie below 3
+    assert hop(1, (0, 2)) == (2, -1)  # split across children 3 and 4
+    assert hop(1, (3, 0)) == (1, 3)  # a completion at dest does not count
+    assert hop(1, (3,)) == (0, -1)  # nothing parks
+    assert hop(3, (4,)) == (0, -1)
+    assert hop(3, (0, 5)) == (2, 7)
+    assert hop(7, (0, 5)) == (0, -1)  # a leaf dest parks nothing
+    pending = as_pending([Flush(0, 1, (0, 1)), Flush(0, 1, (0, 2)),
+                          Flush(3, 7, (0,))], targets.__getitem__, topo)
+    assert [(pf.parking, pf.next_hop) for pf in pending] \
+        == [(2, 3), (2, -1), (0, -1)]
+
+
+def test_same_next_hop_member_wins_over_an_earlier_one():
+    topo = balanced_tree(2, 2)  # root 0; 1 -> {3, 4}; 2 -> {5, 6}
+    pending, edges = edge_queue([
+        Flush(0, 1, (0,)), Flush(0, 1, (1,)), Flush(0, 1, (2,)),
+    ], [3, 4, 3], topo)
+    assert [pf.next_hop for pf in pending] == [3, 4, 3]
+    where = [0, 0, 0].__getitem__
+    # Room for one: the later member bound for 3 beats first fit.
+    assert probe(edges, pending[0], 1, where, set(), 1, 1) == [pending[2]]
+    # Room for both: same-hop members first, then first fit.
+    assert probe(edges, pending[0], 1, where, set(), 8, 8) \
+        == [pending[2], pending[1]]
+
+
+def test_without_a_same_hop_member_first_fit_applies():
+    topo = balanced_tree(2, 2)
+    where = [0] * 4
+    # The lead goes to 3, every candidate to 4: plain priority order.
+    pending, edges = edge_queue([
+        Flush(0, 1, (0,)), Flush(0, 1, (1,)), Flush(0, 1, (2,)),
+    ], [3, 4, 4], topo)
+    assert probe(edges, pending[0], 1, where.__getitem__, set(), 1, 1) \
+        == [pending[1]]
+    # A lead whose messages split has no next hop: first fit, even past
+    # a later member that shares a child with part of the lead.
+    pending, edges = edge_queue([
+        Flush(0, 1, (0, 1)), Flush(0, 1, (2,)), Flush(0, 1, (3,)),
+    ], [3, 4, 4, 3], topo)
+    assert pending[0].next_hop == -1
+    assert probe(edges, pending[0], 1, where.__getitem__, set(), 1, 1) \
+        == [pending[1]]
+    # Same-hop members still pass every screen: one that does not fit
+    # the space bound is passed over for a first-fit completion.
+    pending, edges = edge_queue([
+        Flush(0, 1, (0,)), Flush(0, 1, (1, 2)), Flush(0, 1, (3,)),
+    ], [3, 3, 3, 1], topo)
+    assert probe(edges, pending[0], 1, where.__getitem__, set(), 8, 1) \
+        == [pending[2]]
+
+
+def test_partial_remainder_recomputes_its_next_hop():
+    topo = balanced_tree(2, 2)
+    targets = {0: 3, 1: 4, 2: 3}
+    pending = as_pending([Flush(0, 1, (0, 1, 2))], targets.get, topo)
+    assert (pending[0].parking, pending[0].next_hop) == (3, -1)
+    # Message 1 (bound for 4) lands; the rest all continue to 3.
+    assert settle_partial(pending, (1,), targets.get, topo, 1) \
+        == []
+    pf = pending[0]
+    assert pf.flush == Flush(0, 1, (0, 2))
+    assert (pf.parking, pf.next_hop, pf.attempts) == (2, 3, 1)
+    # The engine settles a partial outcome the same way.
+    engine = ShardEngine(0, topo, 1, 8,
+                         injector=ScriptedInjector(outcomes={1: {1}}))
+    for m, target in targets.items():
+        engine.admit(m, target, 1)
+    engine.set_plan([Flush(0, 1, (0, 1, 2))])
+    assert engine.pending[0].next_hop == -1
+    engine.step(1)
+    assert engine.pending[0].flush == Flush(0, 1, (0, 2))
+    assert engine.pending[0].next_hop == 3
+
+
+def test_batch_shape_flush_count_does_not_regress():
+    """The fault-free ``WormsPolicy`` run on the batch-journaled instance
+    shape of perfbench (seed 1).  First-fit merging alone realized 810
+    flushes in 203 steps here; next-hop-aware merging realizes 693."""
+    seed = int(np.random.SeedSequence((1, 1)).generate_state(1)[0])
+    inst = uniform_instance(beps_shape_tree(64, 0.5, 256), 4000, P=4, B=64,
+                            seed=seed)
+    sched = WormsPolicy().schedule(inst)
+    check_realized(inst, sched)
+    assert sched.n_flushes <= 693
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +475,28 @@ def test_pace_budget_bounds_the_merged_flush():
         [Flush(0, 1, (0, 1, 4))], [Flush(0, 1, (2, 3))],
     ]
     assert engine.stats.paced_holds == 1
+
+
+def test_paced_split_suffix_keeps_its_obligations_next_hop():
+    """The suffix keeps a next hop that may be stale: it orders merges
+    and admits nothing, so the budget and the screens still hold."""
+    topo = balanced_tree(2, 2)  # root 0; 1 -> {3, 4}
+    engine = ShardEngine(0, topo, 1, 8, pace=2)
+    for m, target in enumerate([3, 4, 4, 4]):
+        engine.admit(m, target, 1)
+    engine.set_plan([Flush(0, 1, (0, 1, 2)), Flush(0, 1, (3,))])
+    pf = engine.pending[0]
+    assert pf.next_hop == -1  # split across 3 and 4
+    engine.step(1)
+    # The budget moved (0, 1); the suffix (2,) continues to 4 alone but
+    # keeps the obligation's -1.
+    assert engine.schedule.steps == [[Flush(0, 1, (0, 1))]]
+    assert (pf.flush, pf.parking, pf.next_hop) == (Flush(0, 1, (2,)), 1, -1)
+    assert engine.stats.paced_splits == 1
+    # As a lead without a next hop it merges first-fit, within budget.
+    engine.step(2)
+    assert engine.schedule.steps[1] == [Flush(0, 1, (2, 3))]
+    assert pf.done and engine.pending[1].done
 
 
 @pytest.mark.parametrize("pace", [1, 2, 5])
